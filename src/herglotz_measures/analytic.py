@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import _kernels
 from .errors import (
     CayleySingularity,
     DuplicateNode,
@@ -56,7 +55,7 @@ class NodeSet:
         if not points:
             raise EmptyNodeList("at least one interpolation node is required")
         for k, p in enumerate(points):
-            if abs(p) >= 1.0:
+            if not abs(p) < 1.0:
                 raise NodeOutsideDisc(f"node {k} = {p} is not inside the open unit disc")
         if len(set(points)) != len(points):
             raise DuplicateNode("interpolation nodes must be pairwise distinct")
@@ -99,8 +98,8 @@ class BoundaryPoint:
 
 def _snap_multiplier(gamma: complex) -> tuple[complex, bool]:
     modulus = abs(gamma)
-    if modulus > 1.0 + UNIMODULAR_SNAP_TOL:
-        raise ParameterNotCertified(f"|gamma| = {modulus} exceeds 1")
+    if not modulus <= 1.0 + UNIMODULAR_SNAP_TOL:
+        raise ParameterNotCertified(f"|gamma| = {modulus} is not at most 1")
     if modulus >= 1.0 - UNIMODULAR_SNAP_TOL:
         return gamma / modulus, True
     return gamma, False
@@ -157,7 +156,7 @@ class ScaledBlaschke(SchurParameter):
         gamma, inner = _snap_multiplier(complex(self.gamma))
         zeros = tuple(complex(a) for a in self.zeros)
         for k, a in enumerate(zeros):
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise ParameterNotCertified(
                     f"Blaschke zero {k} = {a} is not inside the open unit disc"
                 )
@@ -192,6 +191,8 @@ class CertifiedRational(SchurParameter):
         den = tuple(complex(c) for c in self.denominator)
         if not num or not den:
             raise ParameterNotCertified("numerator and denominator must be non-empty")
+        if not np.all(np.isfinite(num + den)):
+            raise ParameterNotCertified("coefficients must be finite")
         den_trimmed = np.trim_zeros(np.asarray(den, dtype=complex), "b")
         if den_trimmed.size == 0:
             raise ParameterNotCertified("denominator is identically zero")
@@ -204,7 +205,7 @@ class CertifiedRational(SchurParameter):
                 )
         grid = np.exp(2j * np.pi * np.arange(CERTIFICATION_GRID_SIZE) / CERTIFICATION_GRID_SIZE)
         sup = float(np.max(np.abs(npoly.polyval(grid, num) / npoly.polyval(grid, den))))
-        if sup > 1.0 - CERTIFICATION_HEADROOM:
+        if not sup <= 1.0 - CERTIFICATION_HEADROOM:
             raise ParameterNotCertified(
                 f"boundary sup {sup} exceeds the certified bound {1.0 - CERTIFICATION_HEADROOM}"
             )
@@ -231,10 +232,22 @@ def _require_closed_disc(za: np.ndarray) -> None:
         raise PoleHit("evaluation point outside the closed unit disc")
 
 
+def blaschke_values(t, zeros) -> np.ndarray:
+    """Normalized Blaschke product over the 1-d points ``t``, with no disc check."""
+    t = np.ascontiguousarray(t, dtype=complex)
+    out = np.ones_like(t)
+    for a in np.asarray(zeros, dtype=complex):
+        if a == 0:
+            out = out * t
+        else:
+            out = out * ((a - t) / (1.0 - a.conjugate() * t) * (abs(a) / a))
+    # Owned, not a view: callers' products then reuse it in place, and output bits depend on that.
+    return out
+
+
 def _blaschke_raw(zeros: tuple[complex, ...], z):
     za = np.asarray(z, dtype=complex)
-    flat = za.reshape(-1)
-    vals = _kernels.blaschke_values(flat, np.asarray(zeros, dtype=complex))
+    vals = blaschke_values(za.reshape(-1), zeros)
     if za.ndim == 0:
         return complex(vals[0])
     return vals.reshape(za.shape)

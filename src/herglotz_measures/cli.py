@@ -110,8 +110,8 @@ def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
     tolerance = overrides.get("tolerance")
     if tolerance is None:
         tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or not tolerance > 0:
-        raise SchemaError(f"tolerance must be a positive number, got {tolerance!r}")
+    if type(tolerance) not in (int, float) or not 0 < tolerance <= sys.float_info.max:
+        raise SchemaError(f"tolerance must be a positive finite number, got {tolerance!r}")
 
     grid_size = overrides.get("grid_size")
     if grid_size is None:

@@ -251,6 +251,13 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
         parameter_from_descriptor(doc["parameter"])  # validates provenance
         if not isinstance(doc["grid_size"], int) or isinstance(doc["grid_size"], bool):
             raise SchemaError("grid_size must be an integer")
+        # The sample count is checked before CircleGrid allocates grid_size points.
+        samples = doc["density"]
+        if not isinstance(samples, list) or len(samples) != doc["grid_size"]:
+            raise SchemaError(
+                f"density must hold exactly grid_size = {doc['grid_size']} samples, "
+                f"got {len(samples) if isinstance(samples, list) else samples!r}"
+            )
         grid = CircleGrid(doc["grid_size"])
     except HerglotzMeasureError as exc:
         raise SchemaError(f"malformed measure document: {exc}") from exc
@@ -261,18 +268,13 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     if doc["kind"] not in kinds:
         raise SchemaError(f"unknown measure kind {doc['kind']!r}")
 
-    if not isinstance(doc["density"], list) or len(doc["density"]) != grid.size:
-        raise SchemaError(
-            f"density must hold exactly grid_size = {grid.size} samples, "
-            f"got {len(doc['density']) if isinstance(doc['density'], list) else doc['density']!r}"
-        )
     density = np.empty(grid.size)
-    for j, pair in enumerate(doc["density"]):
+    for j, pair in enumerate(samples):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"density entry {j} must be a [theta, h] pair")
         theta = _float_from(pair[0], f"density angle {j}")
         h = _float_from(pair[1], f"density value {j}")
-        if abs(theta - grid.angles[j]) > 1e-12:
+        if not abs(theta - grid.angles[j]) <= 1e-12:
             raise SchemaError(f"density angle {j} = {theta} is off the uniform grid")
         if not math.isfinite(h) or h < -1e-12:
             raise SchemaError(f"density value {j} = {h} is not a non-negative real")

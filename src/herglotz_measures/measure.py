@@ -17,7 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .analytic import (
     CAYLEY_SINGULARITY_THRESHOLD,
     BoundaryPoint,
@@ -25,6 +24,7 @@ from .analytic import (
     ScaledBlaschke,
     SchurParameter,
     blaschke_log_derivative,
+    blaschke_values,
     herglotz_eval,
 )
 from .errors import (
@@ -93,7 +93,7 @@ class Atom:
     weight: float
 
     def __post_init__(self):
-        if abs(abs(self.location) - 1.0) > 1e-12:
+        if not abs(abs(self.location) - 1.0) <= 1e-12:
             raise ValueError(f"atom location {self.location} is not on the unit circle")
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
             raise ValueError(f"atom weight {self.weight} must be a positive real")
@@ -122,7 +122,6 @@ class GeneratedMeasure:
     density: np.ndarray
     atoms: tuple[Atom, ...]
     kind: MeasureKind
-    flagged: np.ndarray | None = None
 
     def __post_init__(self):
         density = np.ascontiguousarray(self.density, dtype=float)
@@ -133,10 +132,6 @@ class GeneratedMeasure:
         density.setflags(write=False)
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if self.flagged is not None:
-            flagged = np.ascontiguousarray(self.flagged, dtype=bool)
-            flagged.setflags(write=False)
-            object.__setattr__(self, "flagged", flagged)
 
     def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         locs = np.asarray([a.location for a in self.atoms], dtype=complex)
@@ -144,8 +139,13 @@ class GeneratedMeasure:
         return locs, weights
 
 
-def _s_on_grid(nodes: NodeSet, param: SchurParameter, t: np.ndarray) -> np.ndarray:
-    return _kernels.blaschke_values(t, nodes.as_array()) * param.values(t)
+def _density_values(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Herglotz density (1-|s|^2)/|1-s|^2 with near-singular entries zeroed and flagged."""
+    gap = np.abs(1.0 - s)
+    flagged = gap < threshold
+    safe = np.where(flagged, 1.0, gap)
+    density = np.where(flagged, 0.0, (1.0 - np.abs(s) ** 2) / safe**2)
+    return density, flagged
 
 
 def boundary_density(
@@ -156,8 +156,8 @@ def boundary_density(
     Flagged entries (|1 - s| below the Cayley singularity threshold) are set
     to zero so that quadrature automatically excludes them.
     """
-    s = _s_on_grid(nodes, param, grid.points)
-    return _kernels.density_values(s, CAYLEY_SINGULARITY_THRESHOLD)
+    s = blaschke_values(grid.points, nodes.as_array()) * param.values(grid.points)
+    return _density_values(s, CAYLEY_SINGULARITY_THRESHOLD)
 
 
 def _inner_data(nodes: NodeSet, param: SchurParameter) -> tuple[complex, tuple[complex, ...]]:
@@ -167,12 +167,16 @@ def _inner_data(nodes: NodeSet, param: SchurParameter) -> tuple[complex, tuple[c
 
 def _scalar_s(gamma: complex, zeros_arr: np.ndarray, theta: float) -> complex:
     t = complex(np.exp(1j * theta))
-    return gamma * complex(_kernels.blaschke_values(np.array([t]), zeros_arr)[0])
+    return gamma * complex(blaschke_values(np.array([t]), zeros_arr)[0])
 
 
 def _scalar_slope(zeros_arr: np.ndarray, theta: float) -> float:
-    t = complex(np.exp(1j * theta))
-    return float(_kernels.poisson_slope(np.array([t]), zeros_arr)[0])
+    """Boundary phase derivative of the Blaschke product: sum((1-|a|^2)/|t-a|^2)."""
+    t = np.array([complex(np.exp(1j * theta))])
+    out = np.zeros(1)
+    for a in zeros_arr:
+        out += (1.0 - abs(a) ** 2) / np.abs(t - a) ** 2
+    return float(out[0])
 
 
 def _refine_root(
@@ -238,7 +242,7 @@ def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     size = _ATOM_SCAN_SIZE
     while True:
         theta = np.linspace(0.0, TWO_PI, size + 1)
-        svals = gamma * _kernels.blaschke_values(np.exp(1j * theta), zeros_arr)
+        svals = gamma * blaschke_values(np.exp(1j * theta), zeros_arr)
         phase = np.unwrap(np.angle(svals))
         winding = phase[-1] - phase[0]
         if np.all(np.diff(phase) > 0.0) and abs(winding - TWO_PI * degree) < _WINDING_TOL:
@@ -262,7 +266,7 @@ def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
                 target, gamma, zeros_arr,
             )
         t0 = complex(np.exp(1j * theta_root))
-        s0 = gamma * complex(_kernels.blaschke_values(np.array([t0]), zeros_arr)[0])
+        s0 = gamma * complex(blaschke_values(np.array([t0]), zeros_arr)[0])
         s_prime = s0 * blaschke_log_derivative(zeros, t0)
         weight = 1.0 / (t0 * s_prime)
         if abs(weight.imag) > ATOM_IMAG_TOL:
@@ -310,7 +314,6 @@ def build_measure(
             density=density,
             atoms=(),
             kind=MeasureKind.ABSOLUTELY_CONTINUOUS,
-            flagged=flagged,
         )
     total_mass(measure)
     return measure
@@ -353,7 +356,8 @@ def phi_sigma(measure: GeneratedMeasure, z: complex) -> complex:
         raise ValueError("phi_sigma is defined for |z| < 1")
     total = 0.0 + 0.0j
     if np.any(measure.density):
-        total += _kernels.herglotz_transform(measure.grid.points, measure.density, z)
+        t = measure.grid.points
+        total += complex(np.mean(measure.density * (t + z) / (t - z)))
     for atom in measure.atoms:
         total += atom.weight * (atom.location + z) / (atom.location - z)
     return total

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .analytic import (
     Constant,
     NodeSet,
@@ -68,10 +67,25 @@ class MassReport:
     attains_min: bool
 
 
+def _hermitian_assembly(gram: np.ndarray) -> np.ndarray:
+    """Conjugate-symmetric assembly: keep k <= l, reflect, real diagonal."""
+    out = np.triu(gram) + np.triu(gram, 1).conj().T
+    np.fill_diagonal(out, out.diagonal().real)
+    return out
+
+
+def _cauchy_gram(points: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Hermitian matrix of the sums over j of w_j / ((t_j - z_k) conj(t_j - z_l))."""
+    cauchy = 1.0 / (points[None, :] - z[:, None])
+    weighted = cauchy * weights[None, :]
+    np.conj(cauchy, out=cauchy)
+    return _hermitian_assembly(weighted @ cauchy.T)
+
+
 def gram_target(nodes: NodeSet) -> np.ndarray:
     """Lebesgue Gram matrix of the Cauchy fractions: 1/(1 - z_k conj(z_l))."""
     z = nodes.as_array()
-    return _kernels.hermitian_assembly(1.0 / (1.0 - np.outer(z, z.conj())))
+    return _hermitian_assembly(1.0 / (1.0 - np.outer(z, z.conj())))
 
 
 def gram_compute(measure: GeneratedMeasure) -> np.ndarray:
@@ -79,10 +93,11 @@ def gram_compute(measure: GeneratedMeasure) -> np.ndarray:
     z = measure.nodes.as_array()
     gram = np.zeros((z.size, z.size), dtype=complex)
     if np.any(measure.density):
-        gram += _kernels.gram_from_density(measure.grid.points, measure.density, z)
+        # N is a power of two, so 1/N on the weights rounds as 1/N on the sum would.
+        gram += _cauchy_gram(measure.grid.points, measure.density / measure.grid.size, z)
     if measure.atoms:
         locations, weights = measure.atom_arrays()
-        gram += _kernels.gram_from_atoms(locations, weights, z)
+        gram += _cauchy_gram(locations, weights, z)
     return gram
 
 
@@ -144,6 +159,18 @@ def extremal_measures(
     )
 
 
+def pair_integral(measure: GeneratedMeasure, zeta1: complex, zeta2: complex) -> complex:
+    """Integral of 1/((t - zeta1) conj(t - zeta2)): grid quadrature plus atom sums."""
+    z1, z2 = complex(zeta1), complex(zeta2)
+    total = 0.0 + 0.0j
+    if np.any(measure.density):
+        t = measure.grid.points
+        total += complex(np.mean(measure.density / ((t - z1) * np.conj(t - z2))))
+    for atom in measure.atoms:
+        total += atom.weight / ((atom.location - z1) * (atom.location - z2).conjugate())
+    return total
+
+
 def kernel_identity_check(measure: GeneratedMeasure, zeta1: complex, zeta2: complex) -> float:
     """Residual of the kernel identity linking phi to the pair integrals.
 
@@ -155,9 +182,4 @@ def kernel_identity_check(measure: GeneratedMeasure, zeta1: complex, zeta2: comp
     lhs = (phi_sigma(measure, z1) + phi_sigma(measure, z2).conjugate()) / (
         2.0 * (1.0 - z1 * z2.conjugate())
     )
-    rhs = 0.0 + 0.0j
-    if np.any(measure.density):
-        rhs += _kernels.pair_quadrature(measure.grid.points, measure.density, z1, z2)
-    for atom in measure.atoms:
-        rhs += atom.weight / ((atom.location - z1) * (atom.location - z2).conjugate())
-    return abs(lhs - rhs)
+    return abs(lhs - pair_integral(measure, z1, z2))

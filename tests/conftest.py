@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
 import herglotz_measures as hm
 from herglotz_measures.errors import DuplicateNode
@@ -137,20 +136,3 @@ def oracle_gram_target(points) -> np.ndarray:
         for l in range(n):
             out[k, l] = 1.0 / (1.0 - z[k] * z[l].conjugate())
     return out
-
-
-# ---------------------------------------------------------------------------
-# session warmup (JIT compilation happens outside any timed block)
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    nodes = hm.validate_nodes([0.4, -0.2j])
-    ac = hm.build_measure(nodes, hm.Constant(0.5), 256)
-    hm.verify_membership(ac, 1.0)
-    hm.check_phi_conditions(ac, 1.0)
-    hm.kernel_identity_check(ac, 0.1, 0.2j)
-    atomic = hm.build_measure(nodes, hm.Constant(1.0), 256)
-    hm.verify_membership(atomic, 1.0)
-    yield

@@ -255,3 +255,56 @@ class TestSweep:
     def test_bad_sweep_spec_exit_2(self, tmp_path):
         config = self._sweep_config(tmp_path, [[0.5, 0]], 0, 4)
         assert main(["sweep", "--config", config]) == 2
+
+
+
+NAN = math.nan
+
+
+def _generate_argv(tmp_path, nodes=((0.5, 0),), parameter=None, **extra):
+    parameter = parameter or {"type": "constant", "gamma": [0.5, 0]}
+    return ["generate", "--config", generate_config(tmp_path, nodes, parameter, **extra)]
+
+
+def _rational_argv(tmp_path, numerator, denominator):
+    parameter = {"type": "rational", "numerator": numerator, "denominator": denominator}
+    return _generate_argv(tmp_path, parameter=parameter)
+
+
+def _nan_atom_angle_argv(tmp_path):
+    config = generate_config(tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [1, 0]})
+    assert main(["generate", "--config", config]) == 0
+    doc = documents.read_document(tmp_path / "measure.doc")
+    doc["atoms"][0][0] = NAN
+    (tmp_path / "measure.doc").write_text(json.dumps(doc), encoding="utf-8")
+    payload = {
+        "command": "verify",
+        "measure_path": str(tmp_path / "measure.doc"),
+        "output_path": str(tmp_path / "report.doc"),
+    }
+    return ["verify", "--config", write_config(tmp_path / "verify.json", payload)]
+
+
+NON_FINITE_INPUTS = {
+    "nan-node": lambda p: _generate_argv(p, nodes=[[NAN, 0]]),
+    "nan-gamma": lambda p: _generate_argv(p, parameter={"type": "constant", "gamma": [NAN, 0]}),
+    "nan-blaschke-zero": lambda p: _generate_argv(
+        p, parameter={"type": "scaled-blaschke", "gamma": [0.5, 0], "zeros": [[NAN, 0]]}
+    ),
+    "nan-rational-numerator": lambda p: _rational_argv(p, [[NAN, 0]], [[1, 0]]),
+    "nan-rational-denominator": lambda p: _rational_argv(
+        p, [[0.1, 0]], [[1, 0], [0, 0], [NAN, 0]]
+    ),
+    "nan-atom-angle": _nan_atom_angle_argv,
+    "inf-tolerance-config": lambda p: _generate_argv(p, tolerance=math.inf),
+    "inf-tolerance-flag": lambda p: _generate_argv(p) + ["--tolerance", "inf"],
+    "huge-int-tolerance": lambda p: _generate_argv(p, tolerance=10**400),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_INPUTS))
+def test_non_finite_input_exit_2(tmp_path, capsys, case):
+    argv = NON_FINITE_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

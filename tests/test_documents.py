@@ -112,6 +112,13 @@ class TestMeasureDocument:
         with pytest.raises(hm.SchemaError):
             documents.measure_from_document(doc)
 
+    def test_grid_size_checked_against_density_before_allocation(self):
+        doc, _ = _measure_doc([0.5], hm.Constant(0.5))
+        doc["grid_size"] = 2**40
+        doc["density"] = doc["density"][:4]
+        with pytest.raises(hm.SchemaError):
+            documents.measure_from_document(doc)
+
     def test_off_grid_angle_rejected(self):
         doc, _ = _measure_doc([0.5], hm.Constant(0.5))
         doc["density"][7] = [doc["density"][7][0] + 0.1, doc["density"][7][1]]

@@ -1,64 +1,57 @@
-"""Backend agreement: every kernel, numba vs numpy vs direct references."""
-
-import os
-import subprocess
-import sys
+"""Numeric kernels against direct references and the conftest oracles."""
 
 import numpy as np
 import pytest
 
-import herglotz_measures as hm
-from herglotz_measures import _kernels
+from herglotz_measures import analytic, measure, verify
+from herglotz_measures.measure import Atom, CircleGrid, GeneratedMeasure, MeasureKind
 from conftest import TWO_PI, oracle_blaschke
-
-BACKENDS = sorted(_kernels.IMPLEMENTATIONS)
 
 
 @pytest.fixture(scope="module")
 def data():
     rng = np.random.default_rng(41)
-    t = np.exp(1j * TWO_PI * np.arange(1024) / 1024)
+    grid = CircleGrid(1024)
     zeros = np.array([0.0, 0.5, 0.3j, -0.2 - 0.4j], dtype=complex)
-    nodes = np.array([0.5, 0.3j, -0.2], dtype=complex)
-    density = rng.uniform(0.1, 2.0, t.size)
-    s = 0.7 * np.exp(1j * rng.uniform(0.0, TWO_PI, t.size))
-    return {"t": t, "zeros": zeros, "nodes": nodes, "density": density, "s": s}
+    nodes = analytic.validate_nodes([0.5, 0.3j, -0.2])
+    density = rng.uniform(0.1, 2.0, grid.size)
+    s = 0.7 * np.exp(1j * rng.uniform(0.0, TWO_PI, grid.size))
+    ac = GeneratedMeasure(nodes, None, grid, density, (), MeasureKind.ABSOLUTELY_CONTINUOUS)
+    return {"t": grid.points, "zeros": zeros, "nodes": nodes.as_array(), "density": density,
+            "s": s, "ac": ac}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+# numpy is the only numeric back end; the parameter keeps the test ids stable.
+@pytest.mark.parametrize("backend", ["numpy"])
 class TestBackends:
     def test_blaschke_values(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["blaschke_values"]
-        values = impl(data["t"], data["zeros"])
+        values = analytic.blaschke_values(data["t"], data["zeros"])
         reference = oracle_blaschke(data["zeros"], data["t"])
         assert np.max(np.abs(values - reference)) < 1e-13
 
     def test_poisson_slope(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["poisson_slope"]
-        values = impl(data["t"], data["zeros"])
+        angles = CircleGrid(1024).angles
+        values = np.array([measure._scalar_slope(data["zeros"], theta) for theta in angles])
         reference = sum(
             (1.0 - abs(a) ** 2) / np.abs(data["t"] - a) ** 2 for a in data["zeros"]
         )
         assert np.max(np.abs(values - reference)) < 1e-12
 
     def test_density_values(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["density_values"]
-        density, flagged = impl(data["s"], 1e-9)
+        density, flagged = measure._density_values(data["s"], 1e-9)
         reference = (1.0 - np.abs(data["s"]) ** 2) / np.abs(1.0 - data["s"]) ** 2
         assert not flagged.any()
         assert np.max(np.abs(density - reference)) < 1e-12
 
     def test_density_flags_near_singular_points(self, backend):
-        impl = _kernels.IMPLEMENTATIONS[backend]["density_values"]
         s = np.array([1.0 + 1e-12j, 0.5 + 0j], dtype=complex)
-        density, flagged = impl(s, 1e-9)
+        density, flagged = measure._density_values(s, 1e-9)
         assert flagged.tolist() == [True, False]
         assert density[0] == 0.0
         assert density[1] == pytest.approx(3.0)
 
     def test_gram_from_density(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["gram_from_density"]
-        gram = impl(data["t"], data["density"], data["nodes"])
+        gram = verify.gram_compute(data["ac"])
         n = data["nodes"].size
         reference = np.empty((n, n), dtype=complex)
         for k in range(n):
@@ -71,10 +64,14 @@ class TestBackends:
         assert np.array_equal(gram, gram.conj().T)
 
     def test_gram_from_atoms(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["gram_from_atoms"]
-        locations = np.exp(1j * np.array([0.3, 2.0, 4.4]))
+        angles = np.array([0.3, 2.0, 4.4])
         weights = np.array([0.5, 1.5, 0.25])
-        gram = impl(locations, weights, data["nodes"])
+        atoms = tuple(Atom.at_angle(a, w) for a, w in zip(angles, weights))
+        grid = CircleGrid(8)
+        atomic = GeneratedMeasure(data["ac"].nodes, None, grid, np.zeros(grid.size), atoms,
+                                  MeasureKind.PURELY_ATOMIC)
+        gram = verify.gram_compute(atomic)
+        locations = np.exp(1j * angles)
         n = data["nodes"].size
         reference = np.empty((n, n), dtype=complex)
         for k in range(n):
@@ -87,61 +84,13 @@ class TestBackends:
         assert np.array_equal(gram, gram.conj().T)
 
     def test_herglotz_transform(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["herglotz_transform"]
         z = 0.3 - 0.4j
-        value = impl(data["t"], data["density"], z)
+        value = measure.phi_sigma(data["ac"], z)
         reference = np.mean(data["density"] * (data["t"] + z) / (data["t"] - z))
         assert abs(value - reference) < 1e-13
 
     def test_pair_quadrature(self, backend, data):
-        impl = _kernels.IMPLEMENTATIONS[backend]["pair_quadrature"]
         z1, z2 = 0.2 + 0.1j, -0.5j
-        value = impl(data["t"], data["density"], z1, z2)
+        value = verify.pair_integral(data["ac"], z1, z2)
         reference = np.mean(data["density"] / ((data["t"] - z1) * np.conj(data["t"] - z2)))
         assert abs(value - reference) < 1e-13
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_gram():
-    rng = np.random.default_rng(42)
-    t = np.exp(1j * TWO_PI * np.arange(4096) / 4096)
-    nodes = np.array([0.1, 0.7j, -0.5, 0.2 - 0.6j])
-    density = rng.uniform(0.0, 3.0, t.size)
-    results = [
-        _kernels.IMPLEMENTATIONS[b]["gram_from_density"](t, density, nodes)
-        for b in BACKENDS
-    ]
-    assert np.max(np.abs(results[0] - results[-1])) < 1e-13
-
-
-def _active_backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop(_kernels.BACKEND_ENV_VAR, None)
-    else:
-        env[_kernels.BACKEND_ENV_VAR] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import herglotz_measures as hm; print(hm.active_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_env_flag_selects_numpy_backend():
-    proc = _active_backend_in_subprocess("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_env_flag_selects_numba_backend():
-    proc = _active_backend_in_subprocess("numba")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "numba"
-
-
-def test_unknown_backend_rejected():
-    proc = _active_backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert "HERGLOTZ_MEASURES_BACKEND" in proc.stderr
