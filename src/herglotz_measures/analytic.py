@@ -90,11 +90,6 @@ class BoundaryPoint:
         angle = float(angle) % (2.0 * np.pi)
         return cls(angle=angle, value=complex(np.exp(1j * angle)))
 
-    @classmethod
-    def from_value(cls, value: complex) -> "BoundaryPoint":
-        value = complex(value)
-        return cls(angle=float(np.angle(value)) % (2.0 * np.pi), value=value)
-
 
 def _snap_multiplier(gamma: complex) -> tuple[complex, bool]:
     modulus = abs(gamma)

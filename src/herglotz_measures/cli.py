@@ -18,8 +18,8 @@ import numpy as np
 from . import documents
 from .analytic import Constant, NodeSet, SchurParameter, mass_bound_base
 from .errors import HerglotzMeasureError, SchemaError
-from .measure import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, TWO_PI, build_measure, total_mass
-from .verify import check_phi_conditions, extremal_measures, mass_bounds, verify_membership
+from .measure import DEFAULT_GRID_SIZE, TWO_PI, build_measure, check_grid_size, total_mass
+from .verify import certify, extremal_measures, mass_bounds, verify_membership
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -117,15 +117,10 @@ def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
     if grid_size is None:
         grid_size = data.get("grid_size", DEFAULT_GRID_SIZE)
     if command != "verify":
-        if (
-            not isinstance(grid_size, int)
-            or isinstance(grid_size, bool)
-            or grid_size < MIN_GRID_SIZE
-            or grid_size & (grid_size - 1)
-        ):
-            raise SchemaError(
-                f"grid_size must be a power of two >= {MIN_GRID_SIZE}, got {grid_size!r}"
-            )
+        try:
+            check_grid_size(grid_size)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
 
     output_path = overrides.get("output") or data.get("output_path")
     if not isinstance(output_path, str) or not output_path:
@@ -177,8 +172,7 @@ def run_generate(config: JobConfig) -> int:
 def run_verify(config: JobConfig) -> int:
     doc = documents.read_document(config.measure_path)
     measure, _declared_mass = documents.measure_from_document(doc)
-    gram = verify_membership(measure, config.tolerance)
-    phi = check_phi_conditions(measure, config.tolerance)
+    gram, phi = certify(measure, config.tolerance)
     mass = total_mass(measure)
     documents.write_document(
         config.output_path,
@@ -234,9 +228,10 @@ def run_sweep(config: JobConfig) -> int:
     for r in radii:
         for angle in angles if r > 0 else angles[:1]:
             gamma = complex(r * math.cos(angle), r * math.sin(angle))
+            # build_measure has already checked measure.mass against h(0).
             measure = build_measure(config.nodes, Constant(gamma), config.grid_size)
             report = verify_membership(measure, config.tolerance)
-            rows.append((gamma.real, gamma.imag, total_mass(measure), report.max_abs_error))
+            rows.append((gamma.real, gamma.imag, measure.mass, report.max_abs_error))
     documents.write_sweep_csv(config.output_path, rows)
     print(f"sweep: {len(rows)} rows -> {config.output_path}")
     return 0

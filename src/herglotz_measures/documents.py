@@ -22,7 +22,7 @@ from .analytic import (
     validate_nodes,
 )
 from .errors import HerglotzMeasureError, SchemaError
-from .measure import Atom, CircleGrid, GeneratedMeasure, MeasureKind
+from .measure import MAX_GRID_SIZE, Atom, GeneratedMeasure, MeasureKind, circle_grid
 from .verify import GramReport, PhiConditionsReport
 
 MEASURE_SCHEMA = "herglotz-measure/v1"
@@ -251,6 +251,8 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
         parameter_from_descriptor(doc["parameter"])  # validates provenance
         if not isinstance(doc["grid_size"], int) or isinstance(doc["grid_size"], bool):
             raise SchemaError("grid_size must be an integer")
+        if doc["grid_size"] > MAX_GRID_SIZE:
+            raise SchemaError(f"grid_size {doc['grid_size']} exceeds the maximum {MAX_GRID_SIZE}")
         # The sample count is checked before CircleGrid allocates grid_size points.
         samples = doc["density"]
         if not isinstance(samples, list) or len(samples) != doc["grid_size"]:
@@ -258,7 +260,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
                 f"density must hold exactly grid_size = {doc['grid_size']} samples, "
                 f"got {len(samples) if isinstance(samples, list) else samples!r}"
             )
-        grid = CircleGrid(doc["grid_size"])
+        grid = circle_grid(doc["grid_size"])
     except HerglotzMeasureError as exc:
         raise SchemaError(f"malformed measure document: {exc}") from exc
     except ValueError as exc:

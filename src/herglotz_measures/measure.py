@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,8 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_GRID_SIZE = 4096
 MIN_GRID_SIZE = 256
+#: Largest quadrature grid: 2**20 points are 16 MiB per complex array.
+MAX_GRID_SIZE = 1 << 20
 
 #: Quadrature mass must match herglotz_eval(..., 0) this closely.
 MASS_CONSISTENCY_TOL = 1e-9
@@ -84,6 +87,34 @@ class CircleGrid:
         object.__setattr__(self, "points", points)
 
 
+def check_grid_size(size) -> None:
+    """Raise ValueError unless ``size`` is a power of two in [MIN_GRID_SIZE, MAX_GRID_SIZE]."""
+    if (
+        not isinstance(size, int)
+        or isinstance(size, bool)
+        or not MIN_GRID_SIZE <= size <= MAX_GRID_SIZE
+        or not _is_power_of_two(size)
+    ):
+        raise ValueError(
+            f"grid size must be a power of two in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}], "
+            f"got {size!r}"
+        )
+
+
+@lru_cache(maxsize=4)
+def circle_grid(size: int) -> CircleGrid:
+    """The shared CircleGrid of this size; its arrays are read-only."""
+    return CircleGrid(size)
+
+
+@lru_cache(maxsize=4)
+def grid_blaschke(nodes: NodeSet, grid: CircleGrid) -> np.ndarray:
+    """Read-only B of the nodes on the grid, shared by every parameter on these nodes."""
+    values = blaschke_values(grid.points, nodes.as_array())
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class Atom:
     """Point mass of the representing measure, located on the unit circle."""
@@ -122,6 +153,8 @@ class GeneratedMeasure:
     density: np.ndarray
     atoms: tuple[Atom, ...]
     kind: MeasureKind
+    #: Quadrature mass: density mean plus atom weights (unchecked; see total_mass).
+    mass: float = field(init=False, repr=False)
 
     def __post_init__(self):
         density = np.ascontiguousarray(self.density, dtype=float)
@@ -130,8 +163,10 @@ class GeneratedMeasure:
                 f"density has {density.shape[0]} samples, grid has {self.grid.size}"
             )
         density.setflags(write=False)
+        atoms = tuple(self.atoms)
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "mass", float(density.mean()) + sum(a.weight for a in atoms))
 
     def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         locs = np.asarray([a.location for a in self.atoms], dtype=complex)
@@ -156,7 +191,7 @@ def boundary_density(
     Flagged entries (|1 - s| below the Cayley singularity threshold) are set
     to zero so that quadrature automatically excludes them.
     """
-    s = blaschke_values(grid.points, nodes.as_array()) * param.values(grid.points)
+    s = grid_blaschke(nodes, grid) * param.values(grid.points)
     return _density_values(s, CAYLEY_SINGULARITY_THRESHOLD)
 
 
@@ -288,9 +323,8 @@ def build_measure(
     The result is cross-checked: its quadrature mass must match the Herglotz
     value at the origin (MassConsistencyFailure otherwise).
     """
-    if grid_size < MIN_GRID_SIZE or not _is_power_of_two(grid_size):
-        raise ValueError(f"grid size must be a power of two >= {MIN_GRID_SIZE}")
-    grid = CircleGrid(grid_size)
+    check_grid_size(grid_size)
+    grid = circle_grid(grid_size)
     if param.is_inner:
         measure = GeneratedMeasure(
             nodes=nodes,
@@ -338,7 +372,7 @@ def integrate_against(measure: GeneratedMeasure, f) -> complex:
 
 def total_mass(measure: GeneratedMeasure, *, consistency_tol: float = MASS_CONSISTENCY_TOL) -> float:
     """Total mass by quadrature, cross-checked against the Herglotz value at 0."""
-    mass = float(measure.density.mean()) + sum(a.weight for a in measure.atoms)
+    mass = measure.mass
     if measure.param is not None:
         expected = herglotz_eval(measure.nodes, measure.param, 0j)
         if abs(mass - expected) > consistency_tol:

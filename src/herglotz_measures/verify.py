@@ -4,11 +4,22 @@ A measure reproduces the Lebesgue scalar product on the Cauchy fractions
 1/(t - z_k) exactly when its Gram matrix matches the closed-form target
 1/(1 - z_k conj(z_l)); equivalently, when phi(z_k) + conj(phi(z_l)) = 2 for
 all pairs.  Both certificates are computed here at finite tolerance.
+
+On |t| = 1 the kernel identity
+
+    1/((t-z') conj(t-z'')) = [(t+z')/(t-z') + conj((t+z'')/(t-z''))] / (2 (1 - z' conj z''))
+
+holds pointwise, so it holds exactly for grid samples and atoms too: the
+Gram matrix is (phi(z_k) + conj(phi(z_l)))/2 times the target, and both
+certificates come from the n values phi(z_k), one O(nN) pass.  The direct
+route, one quadrature of 1/((t - z') conj(t - z'')) per pair, survives only
+in ``kernel_identity_check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,46 +78,51 @@ class MassReport:
     attains_min: bool
 
 
-def _hermitian_assembly(gram: np.ndarray) -> np.ndarray:
-    """Conjugate-symmetric assembly: keep k <= l, reflect, real diagonal."""
-    out = np.triu(gram) + np.triu(gram, 1).conj().T
+def _cauchy_sums(points: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Sums over j of w_j / (t_j - z_k): one n x len(t) matrix, inverted in place."""
+    cauchy = points[None, :] - z[:, None]
+    np.reciprocal(cauchy, out=cauchy)
+    return cauchy @ weights
+
+
+def _node_phi(measure: GeneratedMeasure) -> np.ndarray:
+    """phi(z_k) at every node in one pass: mass + 2 z_k * integral of 1/(t - z_k)."""
+    z = measure.nodes.as_array()
+    sums = np.zeros(z.size, dtype=complex)
+    if np.any(measure.density):
+        sums += _cauchy_sums(measure.grid.points, measure.density / measure.grid.size, z)
+    if measure.atoms:
+        sums += _cauchy_sums(*measure.atom_arrays(), z)
+    return measure.mass + 2.0 * z * sums
+
+
+@lru_cache(maxsize=4)
+def gram_target(nodes: NodeSet) -> np.ndarray:
+    """Read-only Lebesgue Gram matrix of the Cauchy fractions: 1/(1 - z_k conj(z_l))."""
+    z = nodes.as_array()
+    target = 1.0 / (1.0 - np.outer(z, z.conj()))
+    # Conjugate-symmetric assembly: keep k <= l, reflect, real diagonal.
+    out = np.triu(target) + np.triu(target, 1).conj().T
     np.fill_diagonal(out, out.diagonal().real)
+    out.setflags(write=False)
     return out
 
 
-def _cauchy_gram(points: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Hermitian matrix of the sums over j of w_j / ((t_j - z_k) conj(t_j - z_l))."""
-    cauchy = 1.0 / (points[None, :] - z[:, None])
-    weighted = cauchy * weights[None, :]
-    np.conj(cauchy, out=cauchy)
-    return _hermitian_assembly(weighted @ cauchy.T)
-
-
-def gram_target(nodes: NodeSet) -> np.ndarray:
-    """Lebesgue Gram matrix of the Cauchy fractions: 1/(1 - z_k conj(z_l))."""
-    z = nodes.as_array()
-    return _hermitian_assembly(1.0 / (1.0 - np.outer(z, z.conj())))
+def _gram_from_phi(phi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The kernel identity: (phi_k + conj phi_l)/2 * target_kl, exactly Hermitian."""
+    return 0.5 * (phi[:, None] + phi.conj()[None, :]) * target
 
 
 def gram_compute(measure: GeneratedMeasure) -> np.ndarray:
-    """Gram matrix of the measure by quadrature plus exact atom sums."""
-    z = measure.nodes.as_array()
-    gram = np.zeros((z.size, z.size), dtype=complex)
-    if np.any(measure.density):
-        # N is a power of two, so 1/N on the weights rounds as 1/N on the sum would.
-        gram += _cauchy_gram(measure.grid.points, measure.density / measure.grid.size, z)
-    if measure.atoms:
-        locations, weights = measure.atom_arrays()
-        gram += _cauchy_gram(locations, weights, z)
-    return gram
+    """Gram matrix of the measure (quadrature plus exact atom sums) via phi at the nodes."""
+    return _gram_from_phi(_node_phi(measure), gram_target(measure.nodes))
 
 
-def verify_membership(measure: GeneratedMeasure, tolerance: float) -> GramReport:
-    """Certify membership by the entrywise Gram defect; never raises on fail."""
+def _gram_report(nodes: NodeSet, phi: np.ndarray, tolerance: float) -> GramReport:
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    target = gram_target(measure.nodes)
-    computed = gram_compute(measure)
+    target = gram_target(nodes)
+    computed = _gram_from_phi(phi, target)
     max_abs_error = float(np.max(np.abs(computed - target)))
     return GramReport(
         target=target,
@@ -117,17 +133,28 @@ def verify_membership(measure: GeneratedMeasure, tolerance: float) -> GramReport
     )
 
 
+def _phi_report(phi: np.ndarray, tolerance: float) -> PhiConditionsReport:
+    return PhiConditionsReport(phi_values=phi, system=solve_special_system(phi, tol=tolerance))
+
+
+def verify_membership(measure: GeneratedMeasure, tolerance: float) -> GramReport:
+    """Certify membership by the entrywise Gram defect; never raises on fail."""
+    return _gram_report(measure.nodes, _node_phi(measure), tolerance)
+
+
 def check_phi_conditions(measure: GeneratedMeasure, tolerance: float) -> PhiConditionsReport:
     """Evaluate phi at the nodes and solve the rank-one system.
 
     Success (a common value 1 - i*beta exists within tolerance) is equivalent
     to membership; the returned beta is free diagnostic information.
     """
-    phi_values = np.asarray([phi_sigma(measure, z) for z in measure.nodes.points])
-    return PhiConditionsReport(
-        phi_values=phi_values,
-        system=solve_special_system(phi_values, tol=tolerance),
-    )
+    return _phi_report(_node_phi(measure), tolerance)
+
+
+def certify(measure: GeneratedMeasure, tolerance: float) -> tuple[GramReport, PhiConditionsReport]:
+    """Both certificates (verify_membership, check_phi_conditions) from one phi pass."""
+    phi = _node_phi(measure)
+    return _gram_report(measure.nodes, phi, tolerance), _phi_report(phi, tolerance)
 
 
 def mass_bounds(nodes: NodeSet) -> tuple[float, float]:

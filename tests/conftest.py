@@ -136,3 +136,14 @@ def oracle_gram_target(points) -> np.ndarray:
         for l in range(n):
             out[k, l] = 1.0 / (1.0 - z[k] * z[l].conjugate())
     return out
+
+
+def oracle_gram(measure: hm.GeneratedMeasure) -> np.ndarray:
+    """Direct O(n^2 N) Gram matrix: one quadrature of 1/((t - z_k) conj(t - z_l)) per pair."""
+    z = np.asarray(measure.nodes.points, dtype=complex)
+    n = z.size
+    out = np.empty((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            out[k, l] = oracle_integral(measure, lambda t: 1.0 / ((t - z[k]) * np.conj(t - z[l])))
+    return out

@@ -3,10 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import herglotz_measures as hm
-from herglotz_measures import documents
+from herglotz_measures import documents, measure, verify
 from herglotz_measures.cli import main
 
 
@@ -77,6 +78,13 @@ class TestGenerate:
             tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [0, 0]}, grid_size=100
         )
         assert main(["generate", "--config", config]) == 2
+
+    def test_grid_size_above_maximum_exit_2(self, tmp_path, capsys):
+        config = generate_config(tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [0, 0]})
+        assert main(["generate", "--config", config, "--grid-size", str(2**40)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(measure.MAX_GRID_SIZE) in err
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         config = generate_config(
@@ -308,3 +316,70 @@ def test_non_finite_input_exit_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _clear_node_caches():
+    measure.circle_grid.cache_clear()
+    measure.grid_blaschke.cache_clear()
+    verify.gram_target.cache_clear()
+
+
+class TestNodeOnlyWorkReuse:
+    """B on the grid and the Gram target are computed once per node set.
+
+    The caches never change output bytes.
+    """
+
+    def test_sweep_evaluates_grid_blaschke_once_per_node_set(self, tmp_path, monkeypatch):
+        grid_size = 512
+        grid_calls = []
+        original = measure.blaschke_values
+
+        def counting(t, zeros):
+            if np.size(t) == grid_size:
+                grid_calls.append(len(zeros))
+            return original(t, zeros)
+
+        monkeypatch.setattr(measure, "blaschke_values", counting)
+        _clear_node_caches()
+        for k, nodes in enumerate(([[0.5, 0], [0.1, -0.3]], [[0.2, 0.6]])):
+            payload = {
+                "command": "sweep",
+                "nodes": nodes,
+                "grid_size": grid_size,
+                # 1 + 3 * 5 = 16 interior gamma values, plus 5 inner ones at |gamma| = 1.
+                "sweep": {"radius_steps": 5, "angle_steps": 5},
+                "output_path": str(tmp_path / "sweep.csv"),
+            }
+            assert main(["sweep", "--config", write_config(tmp_path / "s.json", payload)]) == 0
+            assert len(grid_calls) == k + 1
+            assert verify.gram_target.cache_info().misses == k + 1
+        assert grid_calls == [2, 1]
+
+    def _generate_at_65536(self, tmp_path):
+        parameter = {"type": "scaled-blaschke", "gamma": [0.4, 0.3], "zeros": [[0.2, -0.5]]}
+        config = generate_config(
+            tmp_path, [[0.5, 0.1], [-0.3, 0.6], [0.05, -0.9]], parameter, grid_size=65536
+        )
+        assert main(["generate", "--config", config]) == 0
+        return (tmp_path / "measure.doc").read_bytes(), config
+
+    def test_generate_twice_writes_identical_bytes(self, tmp_path):
+        _clear_node_caches()
+        cold, config = self._generate_at_65536(tmp_path)
+        assert main(["generate", "--config", config]) == 0
+        assert (tmp_path / "measure.doc").read_bytes() == cold
+
+    def test_verify_twice_writes_identical_bytes(self, tmp_path):
+        self._generate_at_65536(tmp_path)
+        payload = {
+            "command": "verify",
+            "measure_path": str(tmp_path / "measure.doc"),
+            "output_path": str(tmp_path / "report.doc"),
+        }
+        config = write_config(tmp_path / "verify.json", payload)
+        _clear_node_caches()
+        assert main(["verify", "--config", config]) == 0
+        cold = (tmp_path / "report.doc").read_bytes()
+        assert main(["verify", "--config", config]) == 0
+        assert (tmp_path / "report.doc").read_bytes() == cold

@@ -5,7 +5,13 @@ import pytest
 
 import herglotz_measures as hm
 from herglotz_measures.measure import CircleGrid, MeasureKind
-from conftest import oracle_gram_target, random_contractive_param, random_nodes
+from conftest import (
+    oracle_gram,
+    oracle_gram_target,
+    random_contractive_param,
+    random_inner_param,
+    random_nodes,
+)
 
 
 def _scaled_lebesgue(nodes, factor, size=1024):
@@ -84,6 +90,42 @@ class TestGramCompute:
                     measure, lambda t: 1.0 / ((t - zk) * np.conj(t - zl))
                 )
                 assert gram[k, l] == pytest.approx(generic, abs=1e-12)
+
+
+#: Nodes at |z| = 0.999, 0.005 rad apart, where the Cauchy kernels are sharply peaked.
+CLUSTERED_NODES = hm.validate_nodes(0.999 * np.exp(1j * (0.3 + 0.005 * np.arange(4))))
+CLUSTERED_PARAMS = {
+    "constant": hm.Constant(0.5j),
+    "scaled-blaschke": hm.ScaledBlaschke(0.6, (0.5, -0.3j)),
+    "inner": hm.ScaledBlaschke(1.0, (0.5,)),
+}
+
+
+class TestGramAgainstDirectOracle:
+    """The phi route (kernel identity) against the direct O(n^2 N) double sum."""
+
+    def test_random_nodes(self):
+        rng = np.random.default_rng(36)
+        for _ in range(6):
+            nodes = random_nodes(rng, max_n=6, radius=0.9)
+            for param in (random_contractive_param(rng), random_inner_param(rng)):
+                measure = hm.build_measure(nodes, param, 4096)
+                assert np.max(np.abs(hm.gram_compute(measure) - oracle_gram(measure))) <= 1e-9
+
+    @pytest.mark.parametrize("form", list(CLUSTERED_PARAMS))
+    def test_clustered_nodes_near_circle(self, form):
+        measure = hm.build_measure(CLUSTERED_NODES, CLUSTERED_PARAMS[form], 65536)
+        assert np.max(np.abs(hm.gram_compute(measure) - oracle_gram(measure))) <= 1e-9
+        phi = hm.check_phi_conditions(measure, 1e-8).phi_values
+        for value, z in zip(phi, CLUSTERED_NODES.points):
+            assert abs(value - hm.phi_sigma(measure, z)) <= 1e-12
+
+    def test_certify_matches_separate_reports(self):
+        rng = np.random.default_rng(37)
+        measure = hm.build_measure(random_nodes(rng), random_contractive_param(rng), 2048)
+        gram, phi = hm.certify(measure, 1e-8)
+        assert np.array_equal(gram.computed, hm.verify_membership(measure, 1e-8).computed)
+        assert np.array_equal(phi.phi_values, hm.check_phi_conditions(measure, 1e-8).phi_values)
 
 
 class TestVerifyMembership:
