@@ -74,23 +74,6 @@ def validate_nodes(points) -> NodeSet:
     return NodeSet(tuple(points))
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A point t = exp(i*theta) of the unit circle."""
-
-    angle: float
-    value: complex
-
-    def __post_init__(self):
-        if abs(abs(self.value) - 1.0) > 1e-12:
-            raise ValueError(f"{self.value} is not on the unit circle")
-
-    @classmethod
-    def from_angle(cls, angle: float) -> "BoundaryPoint":
-        angle = float(angle) % (2.0 * np.pi)
-        return cls(angle=angle, value=complex(np.exp(1j * angle)))
-
-
 def _snap_multiplier(gamma: complex) -> tuple[complex, bool]:
     modulus = abs(gamma)
     if not modulus <= 1.0 + UNIMODULAR_SNAP_TOL:
@@ -349,18 +332,6 @@ def solve_special_system(phi, tol: float = SPECIAL_SYSTEM_TOL) -> SpecialSystemR
     if max_defect <= tol:
         return SpecialSystemResult(float(-values.imag.mean()), residual, max_defect)
     return SpecialSystemResult(None, residual, max_defect)
-
-
-def blaschke_log_derivative(zeros, t: complex) -> complex:
-    """d/dz log B at t: sum of (|a|^2-1)/((1-conj(a) z)(a-z)), 1/z for a zero at 0."""
-    total = 0.0 + 0.0j
-    for a in zeros:
-        a = complex(a)
-        if a == 0:
-            total += 1.0 / t
-        else:
-            total += (abs(a) ** 2 - 1.0) / ((1.0 - a.conjugate() * t) * (a - t))
-    return total
 
 
 def mass_bound_base(nodes: NodeSet) -> float:

@@ -76,14 +76,12 @@ def _parse_sweep_spec(data) -> SweepSpec:
     unknown = set(data) - {"radius_steps", "angle_steps"}
     if unknown:
         raise SchemaError(f"sweep spec has unknown fields {sorted(unknown)}")
-    try:
-        radius_steps = int(data["radius_steps"])
-        angle_steps = int(data["angle_steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"sweep spec needs integer radius_steps/angle_steps: {exc}") from exc
-    if radius_steps < 1 or angle_steps < 1:
+    steps = [data.get(key) for key in ("radius_steps", "angle_steps")]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in steps):
+        raise SchemaError(f"sweep spec needs integer radius_steps/angle_steps, got {steps}")
+    if min(steps) < 1:
         raise SchemaError("sweep steps must be >= 1")
-    return SweepSpec(radius_steps, angle_steps)
+    return SweepSpec(*steps)
 
 
 def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:

@@ -22,7 +22,7 @@ from .analytic import (
     validate_nodes,
 )
 from .errors import HerglotzMeasureError, SchemaError
-from .measure import MAX_GRID_SIZE, Atom, GeneratedMeasure, MeasureKind, circle_grid
+from .measure import Atom, GeneratedMeasure, MeasureKind, check_grid_size, circle_grid
 from .verify import GramReport, PhiConditionsReport
 
 MEASURE_SCHEMA = "herglotz-measure/v1"
@@ -249,10 +249,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     try:
         nodes = nodes_from_descriptor(doc["nodes"])
         parameter_from_descriptor(doc["parameter"])  # validates provenance
-        if not isinstance(doc["grid_size"], int) or isinstance(doc["grid_size"], bool):
-            raise SchemaError("grid_size must be an integer")
-        if doc["grid_size"] > MAX_GRID_SIZE:
-            raise SchemaError(f"grid_size {doc['grid_size']} exceeds the maximum {MAX_GRID_SIZE}")
+        check_grid_size(doc["grid_size"])
         # The sample count is checked before CircleGrid allocates grid_size points.
         samples = doc["density"]
         if not isinstance(samples, list) or len(samples) != doc["grid_size"]:

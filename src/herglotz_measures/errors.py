@@ -38,11 +38,7 @@ class NotInnerParameter(HerglotzMeasureError):
 
 
 class PhaseWindingMismatch(HerglotzMeasureError):
-    """Boundary phase winding disagrees with the expected degree."""
-
-
-class AtomWeightNotReal(HerglotzMeasureError):
-    """A residue weight has a non-negligible imaginary part."""
+    """The boundary phase solve did not give one converged atom per degree."""
 
 
 class UnsupportedMixedCase(HerglotzMeasureError):

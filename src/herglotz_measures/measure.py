@@ -3,14 +3,16 @@
 Strictly contractive parameters give an absolutely continuous measure,
 sampled on a uniform circle grid against normalized Lebesgue measure
 (density 1 means the Lebesgue measure itself).  Inner parameters give a
-purely atomic measure whose atoms sit where B*omega = 1 on the circle;
-locations come from tracking the boundary phase (strictly increasing, total
-winding 2*pi*degree) and weights from the boundary residue
-mu = 1/(t0 * s'(t0)).
+purely atomic measure whose atoms sit where B*omega = 1 on the circle.
+On the circle arg(B*omega) has a closed-form, strictly increasing lift Phi
+(total increase 2*pi*degree) whose slope is the Poisson sum of the zeros;
+the atoms are the solutions of Phi = 2*pi*m and their residue weights
+mu = 1/(t0 * s'(t0)) equal 1/Phi'(theta0).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,16 +22,13 @@ import numpy as np
 
 from .analytic import (
     CAYLEY_SINGULARITY_THRESHOLD,
-    BoundaryPoint,
     NodeSet,
     ScaledBlaschke,
     SchurParameter,
-    blaschke_log_derivative,
     blaschke_values,
     herglotz_eval,
 )
 from .errors import (
-    AtomWeightNotReal,
     MassConsistencyFailure,
     NotInnerParameter,
     PhaseWindingMismatch,
@@ -46,16 +45,11 @@ MAX_GRID_SIZE = 1 << 20
 #: Quadrature mass must match herglotz_eval(..., 0) this closely.
 MASS_CONSISTENCY_TOL = 1e-9
 
-#: Allowed imaginary residual of the residue weight formula.
-ATOM_IMAG_TOL = 1e-10
-
-#: Newton stop on |s(t0) - 1| when refining atom locations.
-NEWTON_TARGET = 1e-13
+#: Iteration cap of the safeguarded Newton solve for the atom angles.
 NEWTON_MAX_ITER = 50
 
+#: Angles at which the boundary phase is scanned for root brackets.
 _ATOM_SCAN_SIZE = 4096
-_ATOM_SCAN_CAP = 1 << 20
-_WINDING_TOL = 1e-6
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -134,10 +128,6 @@ class Atom:
         angle = float(angle) % TWO_PI
         return cls(angle=angle, location=complex(np.exp(1j * angle)), weight=float(weight))
 
-    @property
-    def point(self) -> BoundaryPoint:
-        return BoundaryPoint(angle=self.angle, value=self.location)
-
 
 @dataclass(frozen=True, eq=False)
 class GeneratedMeasure:
@@ -200,73 +190,39 @@ def _inner_data(nodes: NodeSet, param: SchurParameter) -> tuple[complex, tuple[c
     return param.gamma, nodes.points + tuple(extra)
 
 
-def _scalar_s(gamma: complex, zeros_arr: np.ndarray, theta: float) -> complex:
-    t = complex(np.exp(1j * theta))
-    return gamma * complex(blaschke_values(np.array([t]), zeros_arr)[0])
+def _boundary_lift(
+    gamma: complex, zeros: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous boundary phase Phi of s = gamma * B_zeros at the angles theta, and Phi'.
 
+    On t = exp(i*theta) the factor (|a|/a)(a - t)/(1 - conj(a) t) has argument
+    pi - arg(a) + theta + 2*Arg(1 - a exp(-i*theta)), and t for a = 0.  Each
+    Arg term is continuous because |a exp(-i*theta)| < 1, so
 
-def _scalar_slope(zeros_arr: np.ndarray, theta: float) -> float:
-    """Boundary phase derivative of the Blaschke product: sum((1-|a|^2)/|t-a|^2)."""
-    t = np.array([complex(np.exp(1j * theta))])
-    out = np.zeros(1)
-    for a in zeros_arr:
-        out += (1.0 - abs(a) ** 2) / np.abs(t - a) ** 2
-    return float(out[0])
+        Phi = arg(gamma) + sum_{a != 0} (pi - arg a) + d*theta + 2*sum_a Arg(1 - a exp(-i*theta))
 
-
-def _refine_root(
-    lo: float,
-    hi: float,
-    phase_lo: float,
-    phase_hi: float,
-    target: float,
-    gamma: complex,
-    zeros_arr: np.ndarray,
-) -> float:
-    # Inside the bracket the principal argument of s equals phase - target.
-    theta = lo + (target - phase_lo) / (phase_hi - phase_lo) * (hi - lo)
-    best_theta, best_resid = theta, math.inf
-    for _ in range(NEWTON_MAX_ITER):
-        sv = _scalar_s(gamma, zeros_arr, theta)
-        resid = abs(sv - 1.0)
-        if resid < best_resid:
-            best_theta, best_resid = theta, resid
-        defect = math.atan2(sv.imag, sv.real)
-        if resid <= NEWTON_TARGET:
-            # one polishing step; quadratic convergence lands near eps
-            polished = theta - defect / _scalar_slope(zeros_arr, theta)
-            if lo <= polished <= hi and abs(_scalar_s(gamma, zeros_arr, polished) - 1.0) < resid:
-                return polished
-            return theta
-        if defect > 0.0:
-            hi = theta
-        elif defect < 0.0:
-            lo = theta
-        candidate = theta - defect / _scalar_slope(zeros_arr, theta)
-        theta = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-    # Newton budget exhausted: bisection on the sign of the phase defect.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        sv = _scalar_s(gamma, zeros_arr, mid)
-        resid = abs(sv - 1.0)
-        if resid < best_resid:
-            best_theta, best_resid = mid, resid
-        if resid <= NEWTON_TARGET or hi - lo < 1e-15:
-            break
-        if math.atan2(sv.imag, sv.real) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return best_theta
+    is an exact lift of arg s, and Phi' = sum_a (1 - |a|^2)/|1 - a exp(-i*theta)|^2
+    (the Poisson sum) is positive.  The loop over the zeros keeps memory at O(theta.size).
+    """
+    rotation = np.exp(-1j * theta)
+    args = np.zeros(theta.shape)
+    slope = np.zeros(theta.shape)
+    for a in zeros:
+        factor = 1.0 - a * rotation
+        args += np.angle(factor)
+        slope += (1.0 - abs(a) ** 2) / np.abs(factor) ** 2
+    offset = cmath.phase(gamma) + sum(math.pi - cmath.phase(a) for a in zeros if a != 0)
+    return offset + zeros.size * theta + 2.0 * args, slope
 
 
 def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     """Locate and weigh the atoms of the measure of an inner parameter.
 
     s = B*omega is a unimodular constant times a Blaschke product of degree
-    d = n + deg(omega); its boundary phase increases by exactly 2*pi*d, so
-    each solution of s(t) = 1 is bracketed by a phase crossing of a multiple
-    of 2*pi and refined by Newton iteration on the phase defect.
+    d = n + deg(omega).  Its exact boundary lift Phi (see _boundary_lift)
+    increases by 2*pi*d over the circle, so the atoms are the d solutions of
+    Phi(theta) = 2*pi*m.  One scan of Phi brackets every solution, safeguarded
+    Newton refines them all at once, and the weight 1/(t0 s'(t0)) equals 1/Phi'(theta0).
     """
     if not param.is_inner:
         raise NotInnerParameter("atom extraction requires an inner parameter")
@@ -274,45 +230,36 @@ def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     zeros_arr = np.asarray(zeros, dtype=complex)
     degree = zeros_arr.size
 
-    size = _ATOM_SCAN_SIZE
-    while True:
-        theta = np.linspace(0.0, TWO_PI, size + 1)
-        svals = gamma * blaschke_values(np.exp(1j * theta), zeros_arr)
-        phase = np.unwrap(np.angle(svals))
-        winding = phase[-1] - phase[0]
-        if np.all(np.diff(phase) > 0.0) and abs(winding - TWO_PI * degree) < _WINDING_TOL:
+    # Phi is exact and increasing, so a scan bracket holds its root at any scan resolution.
+    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
+    scan_phase, _ = _boundary_lift(gamma, zeros_arr, scan)
+    targets = TWO_PI * (math.ceil(scan_phase[0] / TWO_PI) + np.arange(degree))
+    idx = np.clip(np.searchsorted(scan_phase, targets), 1, _ATOM_SCAN_SIZE)
+    lo, hi = scan[idx - 1], scan[idx]
+    theta = 0.5 * (lo + hi)
+    for _ in range(NEWTON_MAX_ITER):
+        phase, slope = _boundary_lift(gamma, zeros_arr, theta)
+        defect = phase - targets
+        # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
+        converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
+        lo = np.where(defect < 0.0, theta, lo)
+        hi = np.where(defect > 0.0, theta, hi)
+        step = theta - defect / slope
+        theta = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if converged.all():  # the step just taken polishes theta below the floor
             break
-        size *= 2
-        if size > _ATOM_SCAN_CAP:
-            raise PhaseWindingMismatch(
-                f"boundary winding {winding / TWO_PI} never settled at degree {degree}"
-            )
+    else:
+        raise PhaseWindingMismatch(
+            f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
+            f"at degree {degree}"
+        )
 
-    first_crossing = math.ceil(phase[0] / TWO_PI)
-    atoms = []
-    for k in range(degree):
-        target = TWO_PI * (first_crossing + k)
-        idx = int(np.searchsorted(phase, target))
-        if idx == 0:
-            theta_root = theta[0]
-        else:
-            theta_root = _refine_root(
-                theta[idx - 1], theta[idx], phase[idx - 1], phase[idx],
-                target, gamma, zeros_arr,
-            )
-        t0 = complex(np.exp(1j * theta_root))
-        s0 = gamma * complex(blaschke_values(np.array([t0]), zeros_arr)[0])
-        s_prime = s0 * blaschke_log_derivative(zeros, t0)
-        weight = 1.0 / (t0 * s_prime)
-        if abs(weight.imag) > ATOM_IMAG_TOL:
-            raise AtomWeightNotReal(
-                f"residue weight {weight} at angle {theta_root} is not real"
-            )
-        atoms.append(Atom.at_angle(theta_root, weight.real))
-
-    if len(atoms) != degree:
-        raise PhaseWindingMismatch(f"found {len(atoms)} atoms, expected {degree}")
-    return tuple(sorted(atoms, key=lambda a: a.angle))
+    _, slope = _boundary_lift(gamma, zeros_arr, theta)
+    atoms = tuple(sorted(map(Atom.at_angle, theta, 1.0 / slope), key=lambda a: a.angle))
+    distinct = len({a.angle for a in atoms})
+    if distinct != degree:
+        raise PhaseWindingMismatch(f"found {distinct} distinct atoms, expected {degree}")
+    return atoms
 
 
 def build_measure(

@@ -116,6 +116,28 @@ def oracle_s_derivative(nodes: hm.NodeSet, param, t0: complex, radius: float = 0
     return complex(np.mean(values / (radius * np.exp(1j * ang)) ** 2 * radius * np.exp(1j * ang)))
 
 
+def oracle_atom_angles(gamma: complex, zeros) -> np.ndarray:
+    """Angles in [0, 2 pi) of the d solutions of gamma * B(t) = 1, from polynomial roots.
+
+    They are the roots of gamma * prod u_k (a_k - t) - prod (1 - conj(a_k) t)
+    with u_k = |a_k|/a_k (the factor is t for a_k = 0): the nodes of the
+    rational Szego quadrature, computed by companion eigenvalues.
+    """
+    numerator = np.array([gamma], dtype=complex)
+    denominator = np.array([1.0], dtype=complex)
+    for a in np.asarray(zeros, dtype=complex):
+        if a == 0:
+            numerator = np.polynomial.polynomial.polymul(numerator, [0.0, 1.0])
+        else:
+            u = abs(a) / a
+            numerator = np.polynomial.polynomial.polymul(numerator, [u * a, -u])
+            denominator = np.polynomial.polynomial.polymul(denominator, [1.0, -a.conjugate()])
+    roots = np.polynomial.polynomial.polyroots(
+        np.polynomial.polynomial.polysub(numerator, denominator)
+    )
+    return np.angle(roots) % TWO_PI
+
+
 def oracle_integral(measure: hm.GeneratedMeasure, f) -> complex:
     """Trapezoid plus atom sums, written independently of the package kernels."""
     total = 0.0 + 0.0j

@@ -260,8 +260,13 @@ class TestSweep:
         for row in self._rows(tmp_path):
             assert lower - 1e-9 <= row[2] <= upper + 1e-9
 
-    def test_bad_sweep_spec_exit_2(self, tmp_path):
-        config = self._sweep_config(tmp_path, [[0.5, 0]], 0, 4)
+    @pytest.mark.parametrize(
+        "radius_steps, angle_steps",
+        [(0, 4), (2.9, 4), (2, "3"), (True, 4)],
+        ids=["zero", "float", "string", "bool"],
+    )
+    def test_bad_sweep_spec_exit_2(self, tmp_path, radius_steps, angle_steps):
+        config = self._sweep_config(tmp_path, [[0.5, 0]], radius_steps, angle_steps)
         assert main(["sweep", "--config", config]) == 2
 
 
@@ -369,6 +374,24 @@ class TestNodeOnlyWorkReuse:
         cold, config = self._generate_at_65536(tmp_path)
         assert main(["generate", "--config", config]) == 0
         assert (tmp_path / "measure.doc").read_bytes() == cold
+
+    def test_inner_generate_and_verify_twice_write_identical_bytes(self, tmp_path):
+        parameter = {"type": "scaled-blaschke", "gamma": [0.6, 0.8], "zeros": [[0.2, -0.5]]}
+        generate = generate_config(tmp_path, [[0.5, 0.1], [-0.3, 0.6], [0.05, -0.9]], parameter)
+        payload = {
+            "command": "verify",
+            "measure_path": str(tmp_path / "measure.doc"),
+            "output_path": str(tmp_path / "report.doc"),
+        }
+        verify_config = write_config(tmp_path / "verify.json", payload)
+        _clear_node_caches()
+        outputs = []
+        for _ in range(2):  # cold caches, then warm
+            assert main(["generate", "--config", generate]) == 0
+            assert main(["verify", "--config", verify_config]) == 0
+            outputs.append([(tmp_path / f).read_bytes() for f in ("measure.doc", "report.doc")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["kind"] == "purely-atomic"
 
     def test_verify_twice_writes_identical_bytes(self, tmp_path):
         self._generate_at_65536(tmp_path)

@@ -119,6 +119,13 @@ class TestMeasureDocument:
         with pytest.raises(hm.SchemaError):
             documents.measure_from_document(doc)
 
+    def test_grid_size_below_minimum_rejected(self):
+        doc, _ = _measure_doc([0.5], hm.Constant(0.5))
+        doc["grid_size"] = 4
+        doc["density"] = [[math.pi / 2 * j, 1.0] for j in range(4)]  # a consistent 4-point grid
+        with pytest.raises(hm.SchemaError):
+            documents.measure_from_document(doc)
+
     def test_off_grid_angle_rejected(self):
         doc, _ = _measure_doc([0.5], hm.Constant(0.5))
         doc["density"][7] = [doc["density"][7][0] + 0.1, doc["density"][7][1]]

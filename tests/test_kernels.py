@@ -30,12 +30,21 @@ class TestBackends:
         assert np.max(np.abs(values - reference)) < 1e-13
 
     def test_poisson_slope(self, backend, data):
-        angles = CircleGrid(1024).angles
-        values = np.array([measure._scalar_slope(data["zeros"], theta) for theta in angles])
+        # the slope of the boundary phase lift is the Poisson sum of the zeros
+        _, values = measure._boundary_lift(0.6 + 0.8j, data["zeros"], CircleGrid(1024).angles)
         reference = sum(
             (1.0 - abs(a) ** 2) / np.abs(data["t"] - a) ** 2 for a in data["zeros"]
         )
         assert np.max(np.abs(values - reference)) < 1e-12
+
+    def test_boundary_lift_is_continuous_phase_of_s(self, backend, data):
+        gamma = 0.6 + 0.8j
+        angles = np.linspace(0.0, TWO_PI, 4097)
+        phase, _ = measure._boundary_lift(gamma, data["zeros"], angles)
+        s = gamma * oracle_blaschke(data["zeros"], np.exp(1j * angles))
+        assert np.max(np.abs(np.exp(1j * phase) - s)) < 1e-13
+        assert np.all(np.diff(phase) > 0.0)
+        assert phase[-1] - phase[0] == pytest.approx(TWO_PI * data["zeros"].size, abs=1e-12)
 
     def test_density_values(self, backend, data):
         density, flagged = measure._density_values(data["s"], 1e-9)
