@@ -18,10 +18,12 @@ import numpy as np
 from . import documents
 from .analytic import Constant, NodeSet, SchurParameter, mass_bound_base
 from .errors import HerglotzMeasureError, SchemaError
-from .measure import DEFAULT_GRID_SIZE, TWO_PI, build_measure, check_grid_size, total_mass
+from .measure import DEFAULT_GRID_SIZE, TWO_PI, build_measure, check_grid_size
 from .verify import certify, extremal_measures, mass_bounds, verify_membership
 
 DEFAULT_TOLERANCE = 1e-8
+#: Largest sweep table: 1 + (radius_steps - 1) * angle_steps rows.
+MAX_SWEEP_ROWS = 1 << 16
 
 _BASE_KEYS = {"command", "tolerance", "output_path"}
 _ALLOWED_KEYS = {
@@ -59,7 +61,7 @@ class JobConfig:
 def _load_raw_config(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(raw)
@@ -81,6 +83,9 @@ def _parse_sweep_spec(data) -> SweepSpec:
         raise SchemaError(f"sweep spec needs integer radius_steps/angle_steps, got {steps}")
     if min(steps) < 1:
         raise SchemaError("sweep steps must be >= 1")
+    rows = 1 + (steps[0] - 1) * steps[1]
+    if rows > MAX_SWEEP_ROWS:
+        raise SchemaError(f"sweep has {rows} rows, above the limit of {MAX_SWEEP_ROWS}")
     return SweepSpec(*steps)
 
 
@@ -155,13 +160,12 @@ def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
 def run_generate(config: JobConfig) -> int:
     measure = build_measure(config.nodes, config.parameter, config.grid_size)
     report = verify_membership(measure, config.tolerance)
-    mass = total_mass(measure)
     documents.write_document(
-        config.output_path, documents.measure_document(measure, report, mass)
+        config.output_path, documents.measure_document(measure, report, measure.mass)
     )
     status = "pass" if report.passed else "FAIL"
     print(
-        f"generate: kind={measure.kind.value} mass={mass:.12g} "
+        f"generate: kind={measure.kind.value} mass={measure.mass:.12g} "
         f"gram_error={report.max_abs_error:.3e} [{status}] -> {config.output_path}"
     )
     return 0 if report.passed else 1
@@ -171,10 +175,9 @@ def run_verify(config: JobConfig) -> int:
     doc = documents.read_document(config.measure_path)
     measure, _declared_mass = documents.measure_from_document(doc)
     gram, phi = certify(measure, config.tolerance)
-    mass = total_mass(measure)
     documents.write_document(
         config.output_path,
-        documents.verify_report_document(config.measure_path, gram, phi, mass),
+        documents.verify_report_document(config.measure_path, gram, phi, measure.mass),
     )
     passed = gram.passed and phi.passed
     beta_text = "n/a" if phi.beta is None else f"{phi.beta:.6g}"
@@ -190,7 +193,7 @@ def _extremal_block(measure, tolerance: float) -> tuple[dict, bool]:
     report = verify_membership(measure, tolerance)
     block = {
         "parameter": documents.parameter_descriptor(measure.param),
-        "mass": total_mass(measure),
+        "mass": measure.mass,
         "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
         "membership_passed": report.passed,
         "max_abs_error": report.max_abs_error,

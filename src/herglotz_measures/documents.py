@@ -1,9 +1,9 @@
 """Versioned, deterministic document formats.
 
-Documents are JSON-compatible structured text written with a fixed key
-order, floats rendered with 17 significant digits, and complex numbers as
-[re, im] pairs; repeated runs with the same inputs are byte-identical.
-Sweep tables are CSV.
+Documents are JSON written by the stdlib encoder: one top-level field per
+line in a fixed key order, floats as their shortest round-trip repr, and
+complex numbers as [re, im] pairs; repeated runs with the same inputs are
+byte-identical.  Sweep tables are CSV with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -44,49 +44,30 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(value, level: int) -> str:
-    pad = "  " * level
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {_render(item, level + 1)}"
-            for key, item in value.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if any(isinstance(x, (dict, list, tuple)) for x in items):
-            body = ",\n".join(f"{pad}  {_render(x, level + 1)}" for x in items)
-            return "[\n" + body + "\n" + pad + "]"
-        return "[" + ", ".join(_render(x, level + 1) for x in items) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize value of type {type(value)!r}")
-
-
 def dumps_document(doc: dict) -> str:
-    return _render(doc, 0) + "\n"
+    """One top-level field per line, each value in the stdlib JSON encoding."""
+    fields = ",\n".join(
+        f"  {json.dumps(str(key))}: {json.dumps(value, allow_nan=False)}"
+        for key, value in doc.items()
+    )
+    return "{\n" + fields + "\n}\n"
+
+
+def _write_text(path, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def write_document(path, doc: dict) -> None:
-    Path(path).write_text(dumps_document(doc), encoding="utf-8")
+    _write_text(path, dumps_document(doc), "document")
 
 
 def read_document(path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read document {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
@@ -187,7 +168,7 @@ def nodes_from_descriptor(data):
 
 
 def _matrix_block(matrix: np.ndarray) -> list:
-    return [[_cpair(entry) for entry in row] for row in np.asarray(matrix)]
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def gram_report_block(report: GramReport) -> dict:
@@ -216,10 +197,7 @@ def measure_document(measure: GeneratedMeasure, gram_report: GramReport, mass: f
         "kind": measure.kind.value,
         "mass": float(mass),
         "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
-        "density": [
-            [float(theta), float(h)]
-            for theta, h in zip(measure.grid.angles, measure.density)
-        ],
+        "density": np.column_stack((measure.grid.angles, measure.density)).tolist(),
         "gram_report": gram_report_block(gram_report),
     }
 
@@ -258,9 +236,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
                 f"got {len(samples) if isinstance(samples, list) else samples!r}"
             )
         grid = circle_grid(doc["grid_size"])
-    except HerglotzMeasureError as exc:
-        raise SchemaError(f"malformed measure document: {exc}") from exc
-    except ValueError as exc:
+    except (HerglotzMeasureError, ValueError) as exc:
         raise SchemaError(f"malformed measure document: {exc}") from exc
 
     kinds = {k.value: k for k in MeasureKind}
@@ -285,13 +261,10 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     for j, pair in enumerate(doc["atoms"]):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"atom {j} must be an [angle, weight] pair")
+        angle = _float_from(pair[0], f"atom angle {j}")
+        weight = _float_from(pair[1], f"atom weight {j}")
         try:
-            atoms.append(
-                Atom.at_angle(
-                    _float_from(pair[0], f"atom angle {j}"),
-                    _float_from(pair[1], f"atom weight {j}"),
-                )
-            )
+            atoms.append(Atom.at_angle(angle, weight))
         except ValueError as exc:
             raise SchemaError(f"atom {j} is invalid: {exc}") from exc
 
@@ -346,9 +319,5 @@ def bounds_document(
 
 
 def write_sweep_csv(path, rows) -> None:
-    lines = [SWEEP_CSV_HEADER]
-    for re_g, im_g, mass, err in rows:
-        lines.append(
-            ",".join(_fmt_float(x) for x in (re_g, im_g, mass, err))
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [SWEEP_CSV_HEADER] + [",".join(_fmt_float(x) for x in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n", "sweep table")

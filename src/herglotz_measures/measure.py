@@ -317,12 +317,12 @@ def integrate_against(measure: GeneratedMeasure, f) -> complex:
     return total
 
 
-def total_mass(measure: GeneratedMeasure, *, consistency_tol: float = MASS_CONSISTENCY_TOL) -> float:
+def total_mass(measure: GeneratedMeasure) -> float:
     """Total mass by quadrature, cross-checked against the Herglotz value at 0."""
     mass = measure.mass
     if measure.param is not None:
         expected = herglotz_eval(measure.nodes, measure.param, 0j)
-        if abs(mass - expected) > consistency_tol:
+        if abs(mass - expected) > MASS_CONSISTENCY_TOL:
             raise MassConsistencyFailure(
                 f"quadrature mass {mass} vs h(0) = {expected} "
                 f"(difference {abs(mass - expected):.3e})"

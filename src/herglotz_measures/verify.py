@@ -163,7 +163,7 @@ def mass_bounds(nodes: NodeSet) -> tuple[float, float]:
     return (1.0 - b0) / (1.0 + b0), (1.0 + b0) / (1.0 - b0)
 
 
-def mass_report(measure: GeneratedMeasure, *, attain_tol: float = ATTAINMENT_TOL) -> MassReport:
+def mass_report(measure: GeneratedMeasure) -> MassReport:
     """Total mass sandwiched between the sharp bounds, with attainment flags."""
     lower, upper = mass_bounds(measure.nodes)
     mass = total_mass(measure)
@@ -171,8 +171,8 @@ def mass_report(measure: GeneratedMeasure, *, attain_tol: float = ATTAINMENT_TOL
         mass=mass,
         lower_bound=lower,
         upper_bound=upper,
-        attains_max=abs(mass - upper) <= attain_tol,
-        attains_min=abs(mass - lower) <= attain_tol,
+        attains_max=abs(mass - upper) <= ATTAINMENT_TOL,
+        attains_min=abs(mass - lower) <= ATTAINMENT_TOL,
     )
 
 

@@ -79,6 +79,18 @@ class TestGenerate:
         )
         assert main(["generate", "--config", config]) == 2
 
+    def test_output_path_is_directory_exit_2(self, tmp_path, capsys):
+        config = generate_config(
+            tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [0.5, 0]}, grid_size=512
+        )
+        assert main(["generate", "--config", config, "--output", str(tmp_path)]) == 2
+        assert "error: cannot write document" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        (tmp_path / "generate.json").write_bytes(b'{"command": "generate\xff"}')
+        assert main(["generate", "--config", str(tmp_path / "generate.json")]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+
     def test_grid_size_above_maximum_exit_2(self, tmp_path, capsys):
         config = generate_config(tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [0, 0]})
         assert main(["generate", "--config", config, "--grid-size", str(2**40)]) == 2
@@ -173,6 +185,12 @@ class TestVerify:
         verify_config = self._verify_config(tmp_path, tmp_path / "nowhere.doc")
         assert main(["verify", "--config", verify_config]) == 2
 
+    def test_non_utf8_document_exit_2(self, tmp_path, capsys):
+        (tmp_path / "measure.doc").write_bytes(b'{"schema": "\xff"}\n')
+        verify_config = self._verify_config(tmp_path, tmp_path / "measure.doc")
+        assert main(["verify", "--config", verify_config]) == 2
+        assert "error: cannot read document" in capsys.readouterr().err
+
 
 class TestBounds:
     def _bounds_config(self, tmp_path, nodes, **extra):
@@ -260,10 +278,15 @@ class TestSweep:
         for row in self._rows(tmp_path):
             assert lower - 1e-9 <= row[2] <= upper + 1e-9
 
+    def test_output_path_is_directory_exit_2(self, tmp_path, capsys):
+        config = self._sweep_config(tmp_path, [[0.5, 0]], 2, 2, grid_size=512)
+        assert main(["sweep", "--config", config, "--output", str(tmp_path)]) == 2
+        assert "error: cannot write sweep table" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "radius_steps, angle_steps",
-        [(0, 4), (2.9, 4), (2, "3"), (True, 4)],
-        ids=["zero", "float", "string", "bool"],
+        [(0, 4), (2.9, 4), (2, "3"), (True, 4), (1000000000000, 2)],
+        ids=["zero", "float", "string", "bool", "too-many-rows"],
     )
     def test_bad_sweep_spec_exit_2(self, tmp_path, radius_steps, angle_steps):
         config = self._sweep_config(tmp_path, [[0.5, 0]], radius_steps, angle_steps)

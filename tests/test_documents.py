@@ -19,11 +19,25 @@ def _measure_doc(nodes_list, param, grid_size=512, tolerance=1e-8):
 
 class TestRendering:
     @pytest.mark.parametrize(
-        "value", [0.0, -0.0, 0.5, 1 / 3, math.pi, 1e-8, 3.0, 1.2345678901234567e-123]
+        "value",
+        [
+            0.0,
+            -0.0,
+            0.5,
+            1 / 3,
+            math.pi,
+            1e-8,
+            3.0,
+            1.2345678901234567e-123,
+            5e-324,
+            1.7976931348623157e308,
+        ],
     )
     def test_floats_round_trip_exactly(self, value):
         text = documents.dumps_document({"x": value})
-        assert float(json.loads(text)["x"]) == value
+        parsed = float(json.loads(text)["x"])
+        assert parsed == value
+        assert math.copysign(1.0, parsed) == math.copysign(1.0, value)
 
     def test_rendering_is_deterministic(self):
         doc = {"a": [1.0, 2.0], "b": {"c": [[0.1, 0.2]]}, "d": None, "e": True}
@@ -37,6 +51,24 @@ class TestRendering:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             documents.dumps_document({"x": math.inf})
+
+    @pytest.mark.parametrize(
+        "param, kind",
+        [
+            (hm.Constant(0.3 - 0.2j), "absolutely-continuous"),
+            (hm.ScaledBlaschke(complex(np.exp(0.4j)), (0.1, -0.3j)), "purely-atomic"),
+        ],
+        ids=["absolutely-continuous", "atomic"],
+    )
+    def test_parsed_document_renders_to_same_bytes(self, param, kind):
+        doc, _ = _measure_doc([0.5, 0.2 + 0.4j], param, grid_size=512)
+        assert doc["kind"] == kind
+        text = documents.dumps_document(doc)
+        assert documents.dumps_document(json.loads(text)) == text
+
+    def test_one_line_per_top_level_field(self):
+        doc, _ = _measure_doc([0.5, 0.2 + 0.4j], hm.Constant(0.3))
+        assert len(documents.dumps_document(doc).splitlines()) == len(doc) + 2
 
 
 class TestParameterCodec:
