@@ -267,7 +267,11 @@ def caratheodory_eval(nodes: NodeSet, param: SchurParameter, z):
 
 def herglotz_eval(nodes: NodeSet, param: SchurParameter, z):
     """h = Re c computed as (1-|s|^2)/|1-s|^2, non-negative by construction."""
-    s = s_eval(nodes, param, z)
+    return herglotz_from_s(s_eval(nodes, param, z))
+
+
+def herglotz_from_s(s):
+    """h = (1-|s|^2)/|1-s|^2 from values of s; CayleySingularity where s is near 1."""
     _cayley_gap_check(s)
     sa = np.asarray(s, dtype=complex)
     h = (1.0 - np.abs(sa) ** 2) / np.abs(1.0 - sa) ** 2

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import documents
-from .analytic import Constant, NodeSet, SchurParameter, mass_bound_base
+from .analytic import NodeSet, SchurParameter, mass_bound_base
 from .errors import HerglotzMeasureError, SchemaError
 from .measure import DEFAULT_GRID_SIZE, TWO_PI, build_measure, check_grid_size
-from .verify import certify, extremal_measures, mass_bounds, verify_membership
+from .verify import certify, extremal_measures, mass_bounds, sweep_reports, verify_membership
 
 DEFAULT_TOLERANCE = 1e-8
 #: Largest sweep table: 1 + (radius_steps - 1) * angle_steps rows.
@@ -117,9 +117,13 @@ def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
         raise SchemaError(f"tolerance must be a positive finite number, got {tolerance!r}")
 
     grid_size = overrides.get("grid_size")
-    if grid_size is None:
-        grid_size = data.get("grid_size", DEFAULT_GRID_SIZE)
-    if command != "verify":
+    if command == "verify":
+        if grid_size is not None:
+            raise SchemaError("verify takes its grid from the measure document; drop --grid-size")
+        grid_size = DEFAULT_GRID_SIZE
+    else:
+        if grid_size is None:
+            grid_size = data.get("grid_size", DEFAULT_GRID_SIZE)
         try:
             check_grid_size(grid_size)
         except ValueError as exc:
@@ -225,17 +229,19 @@ def run_sweep(config: JobConfig) -> int:
     spec = config.sweep
     radii = np.linspace(0.0, 1.0, spec.radius_steps)
     angles = TWO_PI * np.arange(spec.angle_steps) / spec.angle_steps
-    rows = []
-    for r in radii:
-        for angle in angles if r > 0 else angles[:1]:
-            gamma = complex(r * math.cos(angle), r * math.sin(angle))
-            # build_measure has already checked measure.mass against h(0).
-            measure = build_measure(config.nodes, Constant(gamma), config.grid_size)
-            report = verify_membership(measure, config.tolerance)
-            rows.append((gamma.real, gamma.imag, measure.mass, report.max_abs_error))
+    gammas = [
+        complex(r * math.cos(angle), r * math.sin(angle))
+        for r in radii
+        for angle in (angles if r > 0 else angles[:1])
+    ]
+    reports = sweep_reports(config.nodes, gammas, config.grid_size, config.tolerance)
+    rows, passed = [], True
+    for gamma, (mass, report) in zip(gammas, reports):
+        rows.append((gamma.real, gamma.imag, mass, report.max_abs_error))
+        passed = passed and report.passed
     documents.write_sweep_csv(config.output_path, rows)
-    print(f"sweep: {len(rows)} rows -> {config.output_path}")
-    return 0
+    print(f"sweep: {len(rows)} rows [{'pass' if passed else 'FAIL'}] -> {config.output_path}")
+    return 0 if passed else 1
 
 
 _HANDLERS = {

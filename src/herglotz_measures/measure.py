@@ -190,19 +190,22 @@ def _inner_data(nodes: NodeSet, param: SchurParameter) -> tuple[complex, tuple[c
     return param.gamma, nodes.points + tuple(extra)
 
 
-def _boundary_lift(
-    gamma: complex, zeros: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous boundary phase Phi of s = gamma * B_zeros at the angles theta, and Phi'.
+def _lift_offset(gamma: complex, zeros: np.ndarray) -> float:
+    """Constant part arg(gamma) + sum_{a != 0} (pi - arg a) of the boundary lift Phi."""
+    return cmath.phase(gamma) + sum(math.pi - cmath.phase(a) for a in zeros if a != 0)
+
+
+def _lift_sums(zeros: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_a Arg(1 - a exp(-i*theta)) and the Poisson sum Phi' at the angles theta.
 
     On t = exp(i*theta) the factor (|a|/a)(a - t)/(1 - conj(a) t) has argument
     pi - arg(a) + theta + 2*Arg(1 - a exp(-i*theta)), and t for a = 0.  Each
     Arg term is continuous because |a exp(-i*theta)| < 1, so
 
-        Phi = arg(gamma) + sum_{a != 0} (pi - arg a) + d*theta + 2*sum_a Arg(1 - a exp(-i*theta))
+        Phi = _lift_offset(gamma, zeros) + d*theta + 2*sum_a Arg(1 - a exp(-i*theta))
 
-    is an exact lift of arg s, and Phi' = sum_a (1 - |a|^2)/|1 - a exp(-i*theta)|^2
-    (the Poisson sum) is positive.  The loop over the zeros keeps memory at O(theta.size).
+    is an exact lift of arg(gamma * B_zeros), and Phi' = sum_a (1 - |a|^2)/|1 - a exp(-i*theta)|^2
+    is positive.  The loop over the zeros keeps memory at O(theta.size).
     """
     rotation = np.exp(-1j * theta)
     args = np.zeros(theta.shape)
@@ -211,55 +214,106 @@ def _boundary_lift(
         factor = 1.0 - a * rotation
         args += np.angle(factor)
         slope += (1.0 - abs(a) ** 2) / np.abs(factor) ** 2
-    offset = cmath.phase(gamma) + sum(math.pi - cmath.phase(a) for a in zeros if a != 0)
-    return offset + zeros.size * theta + 2.0 * args, slope
+    return args, slope
+
+
+def solve_atoms(gammas, zeros: np.ndarray) -> list:
+    """Atoms of s = gamma * B_zeros for each unimodular gamma, solved as one array.
+
+    Each entry is the atom tuple of its gamma, or the PhaseWindingMismatch that
+    row raises.  The lift Phi (see _lift_sums) increases by 2*pi*d over the
+    circle, so the atoms are the d solutions of Phi(theta) = 2*pi*m.  One scan
+    of Phi brackets every solution, safeguarded Newton refines all rows at once,
+    and the weight 1/(t0 s'(t0)) equals 1/Phi'(theta0).  A row stops after the
+    step that follows its own convergence, so it ends as a lone solve would.
+    """
+    degree = zeros.size
+    offsets = np.array([[_lift_offset(gamma, zeros)] for gamma in gammas])
+
+    # Phi is exact and increasing, so a scan bracket holds its root at any scan resolution.
+    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
+    scan_args, _ = _lift_sums(zeros, scan)
+    targets = np.empty((len(offsets), degree))
+    idx = np.empty(targets.shape, dtype=np.intp)
+    # Row by row, in the operation order of a one-row solve, so that every row ends
+    # bit for bit as that solve would and memory stays O(scan) per row.
+    for row, offset in enumerate(offsets):
+        scan_phase = offset + degree * scan + 2.0 * scan_args
+        targets[row] = TWO_PI * (math.ceil(scan_phase[0] / TWO_PI) + np.arange(degree))
+        idx[row] = np.clip(np.searchsorted(scan_phase, targets[row]), 1, _ATOM_SCAN_SIZE)
+    lo, hi = scan[idx - 1], scan[idx]
+    theta = 0.5 * (lo + hi)
+    active = np.arange(len(offsets))
+    for _ in range(NEWTON_MAX_ITER):
+        t = theta[active]
+        args, slope = _lift_sums(zeros, t)
+        defect = offsets[active] + degree * t + 2.0 * args - targets[active]
+        # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
+        converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
+        lo[active] = row_lo = np.where(defect < 0.0, t, lo[active])
+        hi[active] = row_hi = np.where(defect > 0.0, t, hi[active])
+        step = t - defect / slope
+        inside = (row_lo <= step) & (step <= row_hi)
+        theta[active] = np.where(inside, step, 0.5 * (row_lo + row_hi))
+        # A converged row stops here: the step just taken polishes theta below the floor.
+        active = active[~converged.all(axis=1)]
+        if not active.size:
+            break
+
+    _, slope = _lift_sums(zeros, theta)
+    rows = []
+    for row in range(len(offsets)):
+        if row in active:
+            rows.append(PhaseWindingMismatch(
+                f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
+                f"at degree {degree}"
+            ))
+            continue
+        weights = 1.0 / slope[row]
+        atoms = tuple(sorted(map(Atom.at_angle, theta[row], weights), key=lambda a: a.angle))
+        distinct = len({a.angle for a in atoms})
+        if distinct != degree:
+            atoms = PhaseWindingMismatch(f"found {distinct} distinct atoms, expected {degree}")
+        rows.append(atoms)
+    return rows
 
 
 def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     """Locate and weigh the atoms of the measure of an inner parameter.
 
     s = B*omega is a unimodular constant times a Blaschke product of degree
-    d = n + deg(omega).  Its exact boundary lift Phi (see _boundary_lift)
-    increases by 2*pi*d over the circle, so the atoms are the d solutions of
-    Phi(theta) = 2*pi*m.  One scan of Phi brackets every solution, safeguarded
-    Newton refines them all at once, and the weight 1/(t0 s'(t0)) equals 1/Phi'(theta0).
+    d = n + deg(omega); this is the one-row case of solve_atoms.
     """
     if not param.is_inner:
         raise NotInnerParameter("atom extraction requires an inner parameter")
     gamma, zeros = _inner_data(nodes, param)
-    zeros_arr = np.asarray(zeros, dtype=complex)
-    degree = zeros_arr.size
-
-    # Phi is exact and increasing, so a scan bracket holds its root at any scan resolution.
-    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
-    scan_phase, _ = _boundary_lift(gamma, zeros_arr, scan)
-    targets = TWO_PI * (math.ceil(scan_phase[0] / TWO_PI) + np.arange(degree))
-    idx = np.clip(np.searchsorted(scan_phase, targets), 1, _ATOM_SCAN_SIZE)
-    lo, hi = scan[idx - 1], scan[idx]
-    theta = 0.5 * (lo + hi)
-    for _ in range(NEWTON_MAX_ITER):
-        phase, slope = _boundary_lift(gamma, zeros_arr, theta)
-        defect = phase - targets
-        # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
-        converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
-        lo = np.where(defect < 0.0, theta, lo)
-        hi = np.where(defect > 0.0, theta, hi)
-        step = theta - defect / slope
-        theta = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        if converged.all():  # the step just taken polishes theta below the floor
-            break
-    else:
-        raise PhaseWindingMismatch(
-            f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
-            f"at degree {degree}"
-        )
-
-    _, slope = _boundary_lift(gamma, zeros_arr, theta)
-    atoms = tuple(sorted(map(Atom.at_angle, theta, 1.0 / slope), key=lambda a: a.angle))
-    distinct = len({a.angle for a in atoms})
-    if distinct != degree:
-        raise PhaseWindingMismatch(f"found {distinct} distinct atoms, expected {degree}")
+    (atoms,) = solve_atoms((gamma,), np.asarray(zeros, dtype=complex))
+    if isinstance(atoms, PhaseWindingMismatch):
+        raise atoms
     return atoms
+
+
+def assemble_measure(
+    nodes: NodeSet, param: SchurParameter, grid: CircleGrid, atoms: tuple[Atom, ...] = ()
+) -> GeneratedMeasure:
+    """The measure of the parameter on the grid: the given atoms if it is inner, else its density.
+
+    Raises UnsupportedMixedCase when the density of a non-inner parameter comes
+    within the singularity threshold of s = 1.  The mass is not checked here.
+    """
+    if param.is_inner:
+        density, kind = np.zeros(grid.size), MeasureKind.PURELY_ATOMIC
+    else:
+        density, flagged = boundary_density(nodes, param, grid)
+        if flagged.any():
+            raise UnsupportedMixedCase(
+                f"{int(flagged.sum())} boundary points of a non-inner parameter "
+                "came within the singularity threshold of s = 1"
+            )
+        kind = MeasureKind.ABSOLUTELY_CONTINUOUS
+    return GeneratedMeasure(
+        nodes=nodes, param=param, grid=grid, density=density, atoms=atoms, kind=kind
+    )
 
 
 def build_measure(
@@ -272,30 +326,8 @@ def build_measure(
     """
     check_grid_size(grid_size)
     grid = circle_grid(grid_size)
-    if param.is_inner:
-        measure = GeneratedMeasure(
-            nodes=nodes,
-            param=param,
-            grid=grid,
-            density=np.zeros(grid.size),
-            atoms=find_atoms(nodes, param),
-            kind=MeasureKind.PURELY_ATOMIC,
-        )
-    else:
-        density, flagged = boundary_density(nodes, param, grid)
-        if flagged.any():
-            raise UnsupportedMixedCase(
-                f"{int(flagged.sum())} boundary points of a non-inner parameter "
-                "came within the singularity threshold of s = 1"
-            )
-        measure = GeneratedMeasure(
-            nodes=nodes,
-            param=param,
-            grid=grid,
-            density=density,
-            atoms=(),
-            kind=MeasureKind.ABSOLUTELY_CONTINUOUS,
-        )
+    atoms = find_atoms(nodes, param) if param.is_inner else ()
+    measure = assemble_measure(nodes, param, grid, atoms)
     total_mass(measure)
     return measure
 
@@ -319,15 +351,19 @@ def integrate_against(measure: GeneratedMeasure, f) -> complex:
 
 def total_mass(measure: GeneratedMeasure) -> float:
     """Total mass by quadrature, cross-checked against the Herglotz value at 0."""
-    mass = measure.mass
     if measure.param is not None:
-        expected = herglotz_eval(measure.nodes, measure.param, 0j)
-        if abs(mass - expected) > MASS_CONSISTENCY_TOL:
-            raise MassConsistencyFailure(
-                f"quadrature mass {mass} vs h(0) = {expected} "
-                f"(difference {abs(mass - expected):.3e})"
-            )
-    return mass
+        check_mass(measure, herglotz_eval(measure.nodes, measure.param, 0j))
+    return measure.mass
+
+
+def check_mass(measure: GeneratedMeasure, expected: float) -> None:
+    """Raise MassConsistencyFailure unless the quadrature mass matches h(0) = expected."""
+    mass = measure.mass
+    if abs(mass - expected) > MASS_CONSISTENCY_TOL:
+        raise MassConsistencyFailure(
+            f"quadrature mass {mass} vs h(0) = {expected} "
+            f"(difference {abs(mass - expected):.3e})"
+        )
 
 
 def phi_sigma(measure: GeneratedMeasure, z: complex) -> complex:

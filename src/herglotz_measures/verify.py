@@ -27,10 +27,24 @@ from .analytic import (
     Constant,
     NodeSet,
     SpecialSystemResult,
+    blaschke_eval,
+    herglotz_from_s,
     mass_bound_base,
     solve_special_system,
 )
-from .measure import DEFAULT_GRID_SIZE, GeneratedMeasure, build_measure, phi_sigma, total_mass
+from .errors import PhaseWindingMismatch
+from .measure import (
+    DEFAULT_GRID_SIZE,
+    GeneratedMeasure,
+    assemble_measure,
+    build_measure,
+    check_grid_size,
+    check_mass,
+    circle_grid,
+    phi_sigma,
+    solve_atoms,
+    total_mass,
+)
 
 #: Tolerance for "mass attains the extremal bound" flags.
 ATTAINMENT_TOL = 1e-9
@@ -78,21 +92,27 @@ class MassReport:
     attains_min: bool
 
 
-def _cauchy_sums(points: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Sums over j of w_j / (t_j - z_k): one n x len(t) matrix, inverted in place."""
+def _cauchy_matrix(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1/(t_j - z_k) as one n x len(t) matrix, inverted in place."""
     cauchy = points[None, :] - z[:, None]
     np.reciprocal(cauchy, out=cauchy)
-    return cauchy @ weights
+    return cauchy
 
 
-def _node_phi(measure: GeneratedMeasure) -> np.ndarray:
-    """phi(z_k) at every node in one pass: mass + 2 z_k * integral of 1/(t - z_k)."""
+def _node_phi(measure: GeneratedMeasure, grid_cauchy: np.ndarray | None = None) -> np.ndarray:
+    """phi(z_k) at every node in one pass: mass + 2 z_k * integral of 1/(t - z_k).
+
+    ``grid_cauchy`` is the _cauchy_matrix of the grid at the nodes, when a caller already has it.
+    """
     z = measure.nodes.as_array()
     sums = np.zeros(z.size, dtype=complex)
     if np.any(measure.density):
-        sums += _cauchy_sums(measure.grid.points, measure.density / measure.grid.size, z)
+        if grid_cauchy is None:
+            grid_cauchy = _cauchy_matrix(measure.grid.points, z)
+        sums += grid_cauchy @ (measure.density / measure.grid.size)
     if measure.atoms:
-        sums += _cauchy_sums(*measure.atom_arrays(), z)
+        locations, weights = measure.atom_arrays()
+        sums += _cauchy_matrix(locations, z) @ weights
     return measure.mass + 2.0 * z * sums
 
 
@@ -184,6 +204,33 @@ def extremal_measures(
         build_measure(nodes, Constant(1.0), grid_size),
         build_measure(nodes, Constant(-1.0), grid_size),
     )
+
+
+def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
+    """Yield (mass, verify_membership report) of build_measure(nodes, Constant(gamma)) per gamma.
+
+    Raises what build_measure raises for the first failing gamma.  The node-only
+    work runs once per call (B on the grid and at 0, the Gram target, the grid's
+    Cauchy matrix), and the |gamma| = 1 rows share one atom solve.
+    """
+    check_grid_size(grid_size)
+    grid = circle_grid(grid_size)
+    z = nodes.as_array()
+    b0 = blaschke_eval(nodes, 0j)
+    cauchy = _cauchy_matrix(grid.points, z)
+    params = [Constant(gamma) for gamma in gammas]
+    ring = None
+    for param in params:
+        atoms = ()
+        if param.is_inner:
+            if ring is None:
+                ring = iter(solve_atoms([p.gamma for p in params if p.is_inner], z))
+            atoms = next(ring)
+            if isinstance(atoms, PhaseWindingMismatch):
+                raise atoms
+        measure = assemble_measure(nodes, param, grid, atoms)
+        check_mass(measure, herglotz_from_s(b0 * param.gamma))
+        yield measure.mass, _gram_report(nodes, _node_phi(measure, cauchy), tolerance)
 
 
 def pair_integral(measure: GeneratedMeasure, zeta1: complex, zeta2: complex) -> complex:

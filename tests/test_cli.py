@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import herglotz_measures as hm
-from herglotz_measures import documents, measure, verify
+from herglotz_measures import analytic, documents, measure, verify
 from herglotz_measures.cli import main
+from conftest import TWO_PI, random_nodes
 
 
 def write_config(path, payload):
@@ -191,6 +192,19 @@ class TestVerify:
         assert main(["verify", "--config", verify_config]) == 2
         assert "error: cannot read document" in capsys.readouterr().err
 
+    def test_grid_size_flag_exit_2(self, tmp_path, capsys):
+        config = generate_config(
+            tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [0.5, 0]}, grid_size=512
+        )
+        assert main(["generate", "--config", config]) == 0
+        verify_config = self._verify_config(tmp_path, tmp_path / "measure.doc")
+        capsys.readouterr()
+        assert main(["verify", "--config", verify_config, "--grid-size", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "measure document" in err
+        assert not (tmp_path / "report.doc").exists()
+
 
 class TestBounds:
     def _bounds_config(self, tmp_path, nodes, **extra):
@@ -292,6 +306,79 @@ class TestSweep:
         config = self._sweep_config(tmp_path, [[0.5, 0]], radius_steps, angle_steps)
         assert main(["sweep", "--config", config]) == 2
 
+    def test_tolerance_decides_exit_code_and_every_row_is_written(self, tmp_path, capsys):
+        nodes = [[0.5, 0], [0.1, -0.3]]
+        assert main(["sweep", "--config", self._sweep_config(tmp_path, nodes, 3, 4)]) == 0
+        assert "[pass]" in capsys.readouterr().out
+        rows = self._rows(tmp_path)
+        (tmp_path / "sweep.csv").unlink()
+        config = self._sweep_config(tmp_path, nodes, 3, 4, tolerance=1e-300)
+        assert main(["sweep", "--config", config]) == 1
+        assert "[FAIL]" in capsys.readouterr().out
+        assert self._rows(tmp_path) == rows
+        assert len(rows) == 9
+        assert max(row[3] for row in rows) > 1e-300
+
+    @staticmethod
+    def _per_gamma(nodes, radius_steps, angle_steps, grid_size):
+        """Rows of build_measure + verify_membership per gamma, or the stderr of the first failure."""
+        radii = np.linspace(0.0, 1.0, radius_steps)
+        angles = TWO_PI * np.arange(angle_steps) / angle_steps
+        rows = []
+        for r in radii:
+            for angle in angles if r > 0 else angles[:1]:
+                gamma = complex(r * math.cos(angle), r * math.sin(angle))
+                try:
+                    built = hm.build_measure(nodes, hm.Constant(gamma), grid_size)
+                except hm.HerglotzMeasureError as exc:
+                    return rows, f"error: {exc}\n"
+                error = hm.verify_membership(built, 1e-8).max_abs_error
+                rows.append((gamma.real, gamma.imag, built.mass, error))
+        return rows, ""
+
+    def _sweep_and_reference(self, tmp_path, capsys, nodes, steps, grid_size):
+        descriptor = [[z.real, z.imag] for z in nodes.points]
+        config = self._sweep_config(tmp_path, descriptor, *steps, grid_size=grid_size)
+        (tmp_path / "sweep.csv").unlink(missing_ok=True)
+        capsys.readouterr()
+        code = main(["sweep", "--config", config])
+        err = capsys.readouterr().err
+        return code, err, self._per_gamma(nodes, *steps, grid_size)
+
+    def test_rows_equal_per_gamma_build_and_verify(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for _ in range(16):
+            nodes = random_nodes(rng, max_n=8, radius=float(rng.choice([0.5, 0.9, 0.99])))
+            steps = (int(rng.integers(2, 6)), int(rng.integers(1, 9)))
+            grid_size = int(rng.choice([256, 4096]))
+            code, err, (rows, expected_err) = self._sweep_and_reference(
+                tmp_path, capsys, nodes, steps, grid_size
+            )
+            assert err == expected_err
+            if expected_err:
+                assert code == 1
+                assert not (tmp_path / "sweep.csv").exists()
+            else:
+                # The gamma = 0 row first and the r = 1 ring last, every value bit for bit.
+                assert self._rows(tmp_path) == rows
+                assert rows[0][:2] == (0.0, 0.0) and abs(complex(*rows[-1][:2])) == 1.0
+                assert code == (0 if all(row[3] <= 1e-8 for row in rows) else 1)
+            outcomes.add(bool(expected_err))
+        assert outcomes == {False, True}
+
+    def test_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        radius, angle = 0.9 * np.sqrt(rng.uniform(0, 1, 8)), rng.uniform(0, TWO_PI, 8)
+        nodes = hm.validate_nodes(radius * np.exp(1j * angle))
+        code, err, (rows, expected_err) = self._sweep_and_reference(
+            tmp_path, capsys, nodes, (20, 64), 4096
+        )
+        assert code == 1
+        assert err == expected_err
+        assert err.startswith("error: quadrature mass")
+        assert len(rows) == 1090  # the rows before the first failing gamma
+
 
 
 NAN = math.nan
@@ -360,15 +447,26 @@ class TestNodeOnlyWorkReuse:
 
     def test_sweep_evaluates_grid_blaschke_once_per_node_set(self, tmp_path, monkeypatch):
         grid_size = 512
-        grid_calls = []
-        original = measure.blaschke_values
+        grid_calls, origin_calls, cauchy_calls = [], [], []
 
-        def counting(t, zeros):
-            if np.size(t) == grid_size:
-                grid_calls.append(len(zeros))
-            return original(t, zeros)
+        def counting(calls, original, wanted_size):
+            def wrapper(t, z):
+                if np.size(t) == wanted_size:
+                    calls.append(len(z))
+                return original(t, z)
 
-        monkeypatch.setattr(measure, "blaschke_values", counting)
+            return wrapper
+
+        monkeypatch.setattr(
+            measure, "blaschke_values", counting(grid_calls, measure.blaschke_values, grid_size)
+        )
+        # B(0) goes through analytic.blaschke_values with one point.
+        monkeypatch.setattr(
+            analytic, "blaschke_values", counting(origin_calls, analytic.blaschke_values, 1)
+        )
+        monkeypatch.setattr(
+            verify, "_cauchy_matrix", counting(cauchy_calls, verify._cauchy_matrix, grid_size)
+        )
         _clear_node_caches()
         for k, nodes in enumerate(([[0.5, 0], [0.1, -0.3]], [[0.2, 0.6]])):
             payload = {
@@ -382,7 +480,9 @@ class TestNodeOnlyWorkReuse:
             assert main(["sweep", "--config", write_config(tmp_path / "s.json", payload)]) == 0
             assert len(grid_calls) == k + 1
             assert verify.gram_target.cache_info().misses == k + 1
+            assert len(origin_calls) == len(cauchy_calls) == k + 1
         assert grid_calls == [2, 1]
+        assert origin_calls == cauchy_calls == [2, 1]
 
     def _generate_at_65536(self, tmp_path):
         parameter = {"type": "scaled-blaschke", "gamma": [0.4, 0.3], "zeros": [[0.2, -0.5]]}

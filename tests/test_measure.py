@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import herglotz_measures as hm
+from herglotz_measures import measure
 from herglotz_measures.measure import CircleGrid, MeasureKind
 from conftest import (
     TWO_PI,
@@ -151,6 +152,43 @@ class TestFindAtoms:
             gamma = complex(np.exp(1j * rng.uniform(0, TWO_PI)))
             param = hm.ScaledBlaschke(gamma, tuple(sunflower(24, 0.9)))
             assert len(hm.find_atoms(nodes, param)) == 32
+
+    @staticmethod
+    def _ring(rng, degree, radius, rows):
+        zeros = radius * np.sqrt(rng.uniform(0, 1, degree)) * np.exp(
+            1j * rng.uniform(0, TWO_PI, degree)
+        )
+        gammas = [hm.Constant(complex(np.exp(1j * a))).gamma for a in rng.uniform(0, TWO_PI, rows)]
+        return hm.validate_nodes(zeros), gammas
+
+    def test_rows_equal_lone_solves_and_polynomial_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            nodes, gammas = self._ring(rng, int(rng.integers(1, 13)), 0.95, int(rng.integers(1, 9)))
+            rows = measure.solve_atoms(gammas, nodes.as_array())
+            assert len(rows) == len(gammas)
+            for gamma, atoms in zip(gammas, rows):
+                lone = hm.find_atoms(nodes, hm.Constant(gamma))
+                assert [(a.angle, a.weight) for a in atoms] == [(a.angle, a.weight) for a in lone]
+                angles = np.array([a.angle for a in atoms])
+                expected = oracle_atom_angles(gamma, nodes.points)
+                gaps = np.abs(np.angle(np.exp(1j * (angles[:, None] - expected[None, :]))))
+                assert gaps.min(axis=0).max() < 1e-10
+                assert gaps.min(axis=1).max() < 1e-10
+
+    def test_row_that_does_not_converge_leaves_other_rows_alone(self, monkeypatch):
+        # Three Newton steps are too few for some rows of this ring and enough for others.
+        monkeypatch.setattr(measure, "NEWTON_MAX_ITER", 3)
+        nodes, gammas = self._ring(np.random.default_rng(33), 2, 0.99, 16)
+        rows = measure.solve_atoms(gammas, nodes.as_array())
+        failed = [isinstance(row, hm.PhaseWindingMismatch) for row in rows]
+        assert any(failed) and not all(failed)
+        for gamma, row in zip(gammas, rows):
+            if isinstance(row, hm.PhaseWindingMismatch):
+                with pytest.raises(hm.PhaseWindingMismatch, match=str(row)):
+                    hm.find_atoms(nodes, hm.Constant(gamma))
+            else:
+                assert row == hm.find_atoms(nodes, hm.Constant(gamma))
 
 
 class TestBuildMeasure:
