@@ -209,7 +209,7 @@ def extremal_measures(
 def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     """Yield (mass, verify_membership report) of build_measure(nodes, Constant(gamma)) per gamma.
 
-    Raises what build_measure raises for the first failing gamma.  The node-only
+    ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what build_measure raises for the first failing gamma.  The node-only
     work runs once per call (B on the grid and at 0, the Gram target, the grid's
     Cauchy matrix), and the |gamma| = 1 rows share one atom solve.
     """
@@ -218,13 +218,15 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     z = nodes.as_array()
     b0 = blaschke_eval(nodes, 0j)
     cauchy = _cauchy_matrix(grid.points, z)
-    params = [Constant(gamma) for gamma in gammas]
     ring = None
-    for param in params:
+    # Parameters are made one row at a time: a list of them all left the small-object
+    # heap fragmented and raised peak RSS.
+    for k, param in enumerate(map(Constant, gammas)):
         atoms = ()
         if param.is_inner:
-            if ring is None:
-                ring = iter(solve_atoms([p.gamma for p in params if p.is_inner], z))
+            if ring is None:  # one solve for this and every later |gamma| = 1 row
+                later = [p.gamma for p in map(Constant, gammas[k:]) if p.is_inner]
+                ring = iter(solve_atoms(later, z))
             atoms = next(ring)
             if isinstance(atoms, PhaseWindingMismatch):
                 raise atoms
