@@ -213,16 +213,16 @@ def extremal_measures(
 def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     """Yield (mass, verify_membership report) of build_measure(nodes, Constant(gamma)) per gamma.
 
-    ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what build_measure raises for the first failing gamma.  The node-only
-    work runs once per call (B on the grid and at 0, the Gram target, the grid's
-    Cauchy matrix), and the |gamma| = 1 rows share one atom solve.
+    ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what
+    build_measure raises for the first failing gamma.  The node-only work runs once
+    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix),
+    and the |gamma| = 1 rows share one atom solve.
     """
     check_grid_size(grid_size)
     grid = circle_grid(grid_size)
     z = nodes.as_array()
     b0 = blaschke_eval(nodes, 0j)
-    cauchy = _cauchy_matrix(grid.points, z)
-    ring = None
+    cauchy = ring = None
     # Parameters are made one row at a time: a list of them all left the small-object
     # heap fragmented and raised peak RSS.
     for k, param in enumerate(map(Constant, gammas)):
@@ -236,6 +236,10 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
                 raise atoms
         measure = assemble_measure(nodes, param, grid, atoms)
         check_mass(measure, herglotz_from_s(b0 * param.gamma))
+        if cauchy is None:
+            # Built after the first row has filled the node caches: cached arrays
+            # allocated above it pinned the freed matrix and raised peak RSS.
+            cauchy = _cauchy_matrix(grid.points, z)
         yield measure.mass, _gram_report(nodes, _node_phi(measure, cauchy), tolerance)
 
 
