@@ -243,26 +243,29 @@ def solve_atoms(gammas, zeros: np.ndarray) -> list:
         idx[row] = np.clip(np.searchsorted(scan_phase, targets[row]), 1, _ATOM_SCAN_SIZE)
     lo, hi = scan[idx - 1], scan[idx]
     theta = 0.5 * (lo + hi)
-    active = np.arange(len(offsets))
+    active, t = np.arange(len(theta)), theta  # rows still iterating, and their angles
     for _ in range(NEWTON_MAX_ITER):
-        t = theta[active]
         args, slope = _lift_sums(zeros, t)
-        defect = offsets[active] + degree * t + 2.0 * args - targets[active]
+        defect = offsets + degree * t + 2.0 * args - targets
         # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
         converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
-        lo[active] = row_lo = np.where(defect < 0.0, t, lo[active])
-        hi[active] = row_hi = np.where(defect > 0.0, t, hi[active])
+        lo = np.where(defect < 0.0, t, lo)
+        hi = np.where(defect > 0.0, t, hi)
         step = t - defect / slope
-        inside = (row_lo <= step) & (step <= row_hi)
-        theta[active] = np.where(inside, step, 0.5 * (row_lo + row_hi))
-        # A converged row stops here: the step just taken polishes theta below the floor.
-        active = active[~converged.all(axis=1)]
-        if not active.size:
-            break
+        t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = converged.all(axis=1)
+        if done.any():  # those rows stop: the step just taken polishes them below the floor
+            theta[active[done]] = t[done]
+            keep = ~done
+            active, t, lo, hi, offsets, targets = (
+                a[keep] for a in (active, t, lo, hi, offsets, targets)
+            )
+            if not active.size:
+                break
 
     _, slope = _lift_sums(zeros, theta)
     rows = []
-    for row in range(len(offsets)):
+    for row in range(len(theta)):
         if row in active:
             rows.append(PhaseWindingMismatch(
                 f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
