@@ -17,8 +17,6 @@ from .analytic import (
     SchurParameter,
     SpecialSystemResult,
     blaschke_eval,
-    caratheodory_eval,
-    cayley_to_s,
     herglotz_eval,
     mass_bound_base,
     s_eval,
@@ -49,22 +47,17 @@ from .measure import (
     boundary_density,
     build_measure,
     find_atoms,
-    integrate_against,
-    phi_sigma,
     total_mass,
 )
 from .verify import (
     GramReport,
-    MassReport,
     PhiConditionsReport,
     certify,
     check_phi_conditions,
     extremal_measures,
     gram_compute,
     gram_target,
-    kernel_identity_check,
     mass_bounds,
-    mass_report,
     verify_membership,
 )
 
@@ -84,7 +77,6 @@ __all__ = [
     "GramReport",
     "HerglotzMeasureError",
     "MassConsistencyFailure",
-    "MassReport",
     "MeasureKind",
     "NodeOutsideDisc",
     "NodeSet",
@@ -101,8 +93,6 @@ __all__ = [
     "blaschke_eval",
     "boundary_density",
     "build_measure",
-    "caratheodory_eval",
-    "cayley_to_s",
     "certify",
     "check_phi_conditions",
     "extremal_measures",
@@ -110,12 +100,8 @@ __all__ = [
     "gram_compute",
     "gram_target",
     "herglotz_eval",
-    "integrate_against",
-    "kernel_identity_check",
     "mass_bound_base",
     "mass_bounds",
-    "mass_report",
-    "phi_sigma",
     "s_eval",
     "schur_eval",
     "solve_special_system",

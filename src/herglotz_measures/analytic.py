@@ -250,21 +250,6 @@ def s_eval(nodes: NodeSet, param: SchurParameter, z):
     return blaschke_eval(nodes, z) * schur_eval(param, z)
 
 
-def _cayley_gap_check(s) -> None:
-    gap = np.abs(1.0 - np.asarray(s, dtype=complex))
-    if float(np.min(gap)) < CAYLEY_SINGULARITY_THRESHOLD:
-        raise CayleySingularity(
-            f"|1 - s| = {float(np.min(gap))} below threshold {CAYLEY_SINGULARITY_THRESHOLD}"
-        )
-
-
-def caratheodory_eval(nodes: NodeSet, param: SchurParameter, z):
-    """c = (1+s)/(1-s); equals 1 at every node and has non-negative real part."""
-    s = s_eval(nodes, param, z)
-    _cayley_gap_check(s)
-    return (1.0 + s) / (1.0 - s)
-
-
 def herglotz_eval(nodes: NodeSet, param: SchurParameter, z):
     """h = Re c computed as (1-|s|^2)/|1-s|^2, non-negative by construction."""
     return herglotz_from_s(s_eval(nodes, param, z))
@@ -272,23 +257,16 @@ def herglotz_eval(nodes: NodeSet, param: SchurParameter, z):
 
 def herglotz_from_s(s):
     """h = (1-|s|^2)/|1-s|^2 from values of s; CayleySingularity where s is near 1."""
-    _cayley_gap_check(s)
     sa = np.asarray(s, dtype=complex)
-    h = (1.0 - np.abs(sa) ** 2) / np.abs(1.0 - sa) ** 2
+    gap = np.abs(1.0 - sa)
+    if float(np.min(gap)) < CAYLEY_SINGULARITY_THRESHOLD:
+        raise CayleySingularity(
+            f"|1 - s| = {float(np.min(gap))} below threshold {CAYLEY_SINGULARITY_THRESHOLD}"
+        )
+    h = (1.0 - np.abs(sa) ** 2) / gap**2
     if sa.ndim == 0:
         return float(h)
     return h
-
-
-def cayley_to_s(c_value):
-    """Inverse Cayley transform s = (c-1)/(c+1); singular at c = -1."""
-    ca = np.asarray(c_value, dtype=complex)
-    if float(np.min(np.abs(ca + 1.0))) < CAYLEY_SINGULARITY_THRESHOLD:
-        raise CayleySingularity("c = -1 has no Schur counterpart")
-    s = (ca - 1.0) / (ca + 1.0)
-    if ca.ndim == 0:
-        return complex(s)
-    return s
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .analytic import (
     validate_nodes,
 )
 from .errors import HerglotzMeasureError, SchemaError
-from .measure import Atom, GeneratedMeasure, MeasureKind, check_grid_size, circle_grid
+from .measure import DENSITY_TOL, Atom, GeneratedMeasure, MeasureKind, check_grid_size, circle_grid
 from .verify import GramReport, PhiConditionsReport
 
 MEASURE_SCHEMA = "herglotz-measure/v1"
@@ -95,13 +95,16 @@ def _complex_from(pair, what: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise SchemaError(f"{what} must be a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_float_from(pair[0], what), _float_from(pair[1], what))
 
 
 def _float_from(value, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} is beyond the float range") from exc
 
 
 def _require_keys(data: dict, required: set[str], what: str) -> None:
@@ -251,7 +254,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
         h = _float_from(pair[1], f"density value {j}")
         if not abs(theta - grid.angles[j]) <= 1e-12:
             raise SchemaError(f"density angle {j} = {theta} is off the uniform grid")
-        if not math.isfinite(h) or h < -1e-12:
+        if not math.isfinite(h) or h < -DENSITY_TOL:
             raise SchemaError(f"density value {j} = {h} is not a non-negative real")
         density[j] = h
 

@@ -31,6 +31,7 @@ from .analytic import (
 from .errors import (
     MassConsistencyFailure,
     NotInnerParameter,
+    ParameterNotCertified,
     PhaseWindingMismatch,
     UnsupportedMixedCase,
 )
@@ -44,6 +45,9 @@ MAX_GRID_SIZE = 1 << 20
 
 #: Quadrature mass must match herglotz_eval(..., 0) this closely.
 MASS_CONSISTENCY_TOL = 1e-9
+
+#: A density sample below -DENSITY_TOL is negative beyond rounding: |omega| > 1 there.
+DENSITY_TOL = 1e-12
 
 #: Iteration cap of the safeguarded Newton solve for the atom angles.
 NEWTON_MAX_ITER = 50
@@ -302,7 +306,8 @@ def assemble_measure(
     """The measure of the parameter on the grid: the given atoms if it is inner, else its density.
 
     Raises UnsupportedMixedCase when the density of a non-inner parameter comes
-    within the singularity threshold of s = 1.  The mass is not checked here.
+    within the singularity threshold of s = 1, and ParameterNotCertified when a
+    density sample is negative.  The mass is not checked here.
     """
     if param.is_inner:
         density, kind = np.zeros(grid.size), MeasureKind.PURELY_ATOMIC
@@ -312,6 +317,11 @@ def assemble_measure(
             raise UnsupportedMixedCase(
                 f"{int(flagged.sum())} boundary points of a non-inner parameter "
                 "came within the singularity threshold of s = 1"
+            )
+        low = int(np.argmin(density))
+        if density[low] < -DENSITY_TOL:
+            raise ParameterNotCertified(
+                f"density sample {low} = {density[low]} < 0: |omega| > 1 there, not Schur-class"
             )
         kind = MeasureKind.ABSOLUTELY_CONTINUOUS
     return GeneratedMeasure(
@@ -335,23 +345,6 @@ def build_measure(
     return measure
 
 
-def integrate_against(measure: GeneratedMeasure, f) -> complex:
-    """Integral of f against the measure: grid trapezoid rule plus atom sums.
-
-    ``f`` must accept complex scalars and ndarrays (numpy-style).  The
-    trapezoid rule on the uniform grid is spectrally accurate for smooth
-    periodic integrands.
-    """
-    total = 0.0 + 0.0j
-    if np.any(measure.density):
-        values = np.asarray(f(measure.grid.points))
-        total += complex(np.mean(measure.density * values))
-    if measure.atoms:
-        locations, weights = measure.atom_arrays()
-        total += complex(np.sum(weights * np.asarray(f(locations))))
-    return total
-
-
 def total_mass(measure: GeneratedMeasure) -> float:
     """Total mass by quadrature, cross-checked against the Herglotz value at 0."""
     if measure.param is not None:
@@ -367,17 +360,3 @@ def check_mass(measure: GeneratedMeasure, expected: float) -> None:
             f"quadrature mass {mass} vs h(0) = {expected} "
             f"(difference {abs(mass - expected):.3e})"
         )
-
-
-def phi_sigma(measure: GeneratedMeasure, z: complex) -> complex:
-    """The associated function phi(z) = integral of (t+z)/(t-z) d(sigma)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("phi_sigma is defined for |z| < 1")
-    total = 0.0 + 0.0j
-    if np.any(measure.density):
-        t = measure.grid.points
-        total += complex(np.mean(measure.density * (t + z) / (t - z)))
-    for atom in measure.atoms:
-        total += atom.weight * (atom.location + z) / (atom.location - z)
-    return total

@@ -12,8 +12,13 @@ On |t| = 1 the kernel identity
 holds pointwise, so it holds exactly for grid samples and atoms too: the
 Gram matrix is (phi(z_k) + conj(phi(z_l)))/2 times the target, and both
 certificates come from the n values phi(z_k), one O(nN) pass.  The direct
-route, one quadrature of 1/((t - z') conj(t - z'')) per pair, survives only
-in ``kernel_identity_check``.
+route, one quadrature of 1/((t - z') conj(t - z'')) per pair, lives only in
+the tests, as their Gram oracle.
+
+Both certificates judge the sampled measure they are given.  The boundary
+sup of a rational parameter is a maximum over 8192 samples, a sampled check
+and not a bound; a negative density sample proves |omega| > 1 there, so
+``assemble_measure`` refuses it and ``generate`` never certifies a signed measure.
 """
 
 from __future__ import annotations
@@ -41,13 +46,8 @@ from .measure import (
     check_grid_size,
     check_mass,
     circle_grid,
-    phi_sigma,
     solve_atoms,
-    total_mass,
 )
-
-#: Tolerance for "mass attains the extremal bound" flags.
-ATTAINMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +79,6 @@ class PhiConditionsReport:
     @property
     def passed(self) -> bool:
         return self.system.solvable
-
-
-@dataclass(frozen=True)
-class MassReport:
-    """Total mass against the sharp bounds (1 -+ B(0))/(1 +- B(0))."""
-
-    mass: float
-    lower_bound: float
-    upper_bound: float
-    attains_max: bool
-    attains_min: bool
 
 
 def _cauchy_matrix(points: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -187,19 +176,6 @@ def mass_bounds(nodes: NodeSet) -> tuple[float, float]:
     return (1.0 - b0) / (1.0 + b0), (1.0 + b0) / (1.0 - b0)
 
 
-def mass_report(measure: GeneratedMeasure) -> MassReport:
-    """Total mass sandwiched between the sharp bounds, with attainment flags."""
-    lower, upper = mass_bounds(measure.nodes)
-    mass = total_mass(measure)
-    return MassReport(
-        mass=mass,
-        lower_bound=lower,
-        upper_bound=upper,
-        attains_max=abs(mass - upper) <= ATTAINMENT_TOL,
-        attains_min=abs(mass - lower) <= ATTAINMENT_TOL,
-    )
-
-
 def extremal_measures(
     nodes: NodeSet, grid_size: int = DEFAULT_GRID_SIZE
 ) -> tuple[GeneratedMeasure, GeneratedMeasure]:
@@ -241,29 +217,3 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
             # allocated above it pinned the freed matrix and raised peak RSS.
             cauchy = _cauchy_matrix(grid.points, z)
         yield measure.mass, _gram_report(nodes, _node_phi(measure, cauchy), tolerance)
-
-
-def pair_integral(measure: GeneratedMeasure, zeta1: complex, zeta2: complex) -> complex:
-    """Integral of 1/((t - zeta1) conj(t - zeta2)): grid quadrature plus atom sums."""
-    z1, z2 = complex(zeta1), complex(zeta2)
-    total = 0.0 + 0.0j
-    if np.any(measure.density):
-        t = measure.grid.points
-        total += complex(np.mean(measure.density / ((t - z1) * np.conj(t - z2))))
-    for atom in measure.atoms:
-        total += atom.weight / ((atom.location - z1) * (atom.location - z2).conjugate())
-    return total
-
-
-def kernel_identity_check(measure: GeneratedMeasure, zeta1: complex, zeta2: complex) -> float:
-    """Residual of the kernel identity linking phi to the pair integrals.
-
-    Compares [phi(z') + conj(phi(z''))] / (2 (1 - z' conj(z''))) against the
-    direct integral of 1/((t - z') conj(t - z'')); a self-consistency
-    diagnostic of the quadrature path.
-    """
-    z1, z2 = complex(zeta1), complex(zeta2)
-    lhs = (phi_sigma(measure, z1) + phi_sigma(measure, z2).conjugate()) / (
-        2.0 * (1.0 - z1 * z2.conjugate())
-    )
-    return abs(lhs - pair_integral(measure, z1, z2))

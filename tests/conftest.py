@@ -2,12 +2,15 @@
 
 The oracle helpers re-implement the underlying formulas directly (plain
 numpy, no package kernels) so tests can cross-check the library against an
-independent route.
+independent route.  The paper identities at the end (Caratheodory and
+Cayley maps, phi, pair integrals, mass attainment) are checks on the
+program, so they live here and not in the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,3 +172,114 @@ def oracle_gram(measure: hm.GeneratedMeasure) -> np.ndarray:
         for l in range(n):
             out[k, l] = oracle_integral(measure, lambda t: 1.0 / ((t - z[k]) * np.conj(t - z[l])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# paper identities
+# ---------------------------------------------------------------------------
+
+#: Tolerance for "mass attains the extremal bound" flags.
+ATTAINMENT_TOL = 1e-9
+
+
+def caratheodory_eval(nodes: hm.NodeSet, param: hm.SchurParameter, z):
+    """c = (1+s)/(1-s); equals 1 at every node and has non-negative real part."""
+    s = hm.s_eval(nodes, param, z)
+    gap = np.abs(1.0 - np.asarray(s, dtype=complex))
+    if float(np.min(gap)) < hm.CAYLEY_SINGULARITY_THRESHOLD:
+        raise hm.CayleySingularity(
+            f"|1 - s| = {float(np.min(gap))} below threshold {hm.CAYLEY_SINGULARITY_THRESHOLD}"
+        )
+    return (1.0 + s) / (1.0 - s)
+
+
+def cayley_to_s(c_value):
+    """Inverse Cayley transform s = (c-1)/(c+1); singular at c = -1."""
+    ca = np.asarray(c_value, dtype=complex)
+    if float(np.min(np.abs(ca + 1.0))) < hm.CAYLEY_SINGULARITY_THRESHOLD:
+        raise hm.CayleySingularity("c = -1 has no Schur counterpart")
+    s = (ca - 1.0) / (ca + 1.0)
+    if ca.ndim == 0:
+        return complex(s)
+    return s
+
+
+def integrate_against(measure: hm.GeneratedMeasure, f) -> complex:
+    """Integral of f against the measure: grid trapezoid rule plus atom sums.
+
+    ``f`` must accept complex scalars and ndarrays (numpy-style).  The
+    trapezoid rule on the uniform grid is spectrally accurate for smooth
+    periodic integrands.
+    """
+    total = 0.0 + 0.0j
+    if np.any(measure.density):
+        values = np.asarray(f(measure.grid.points))
+        total += complex(np.mean(measure.density * values))
+    if measure.atoms:
+        locations, weights = measure.atom_arrays()
+        total += complex(np.sum(weights * np.asarray(f(locations))))
+    return total
+
+
+def phi_sigma(measure: hm.GeneratedMeasure, z: complex) -> complex:
+    """The associated function phi(z) = integral of (t+z)/(t-z) d(sigma)."""
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise ValueError("phi_sigma is defined for |z| < 1")
+    total = 0.0 + 0.0j
+    if np.any(measure.density):
+        t = measure.grid.points
+        total += complex(np.mean(measure.density * (t + z) / (t - z)))
+    for atom in measure.atoms:
+        total += atom.weight * (atom.location + z) / (atom.location - z)
+    return total
+
+
+@dataclass(frozen=True)
+class MassReport:
+    """Total mass against the sharp bounds (1 -+ B(0))/(1 +- B(0))."""
+
+    mass: float
+    lower_bound: float
+    upper_bound: float
+    attains_max: bool
+    attains_min: bool
+
+
+def mass_report(measure: hm.GeneratedMeasure) -> MassReport:
+    """Total mass sandwiched between the sharp bounds, with attainment flags."""
+    lower, upper = hm.mass_bounds(measure.nodes)
+    mass = hm.total_mass(measure)
+    return MassReport(
+        mass=mass,
+        lower_bound=lower,
+        upper_bound=upper,
+        attains_max=abs(mass - upper) <= ATTAINMENT_TOL,
+        attains_min=abs(mass - lower) <= ATTAINMENT_TOL,
+    )
+
+
+def pair_integral(measure: hm.GeneratedMeasure, zeta1: complex, zeta2: complex) -> complex:
+    """Integral of 1/((t - zeta1) conj(t - zeta2)): grid quadrature plus atom sums."""
+    z1, z2 = complex(zeta1), complex(zeta2)
+    total = 0.0 + 0.0j
+    if np.any(measure.density):
+        t = measure.grid.points
+        total += complex(np.mean(measure.density / ((t - z1) * np.conj(t - z2))))
+    for atom in measure.atoms:
+        total += atom.weight / ((atom.location - z1) * (atom.location - z2).conjugate())
+    return total
+
+
+def kernel_identity_check(measure: hm.GeneratedMeasure, zeta1: complex, zeta2: complex) -> float:
+    """Residual of the kernel identity linking phi to the pair integrals.
+
+    Compares [phi(z') + conj(phi(z''))] / (2 (1 - z' conj(z''))) against the
+    direct integral of 1/((t - z') conj(t - z'')); a self-consistency
+    diagnostic of the quadrature path.
+    """
+    z1, z2 = complex(zeta1), complex(zeta2)
+    lhs = (phi_sigma(measure, z1) + phi_sigma(measure, z2).conjugate()) / (
+        2.0 * (1.0 - z1 * z2.conjugate())
+    )
+    return abs(lhs - pair_integral(measure, z1, z2))

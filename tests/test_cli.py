@@ -136,6 +136,23 @@ class TestGenerate:
         assert doc["gram_report"]["passed"] is False
         assert doc["gram_report"]["max_abs_error"] > 1e-18
 
+    def test_negative_density_exit_1_writes_nothing(self, tmp_path, capsys):
+        # omega = a/(1 - conj(u) z/rho) peaks at 1.02 at z = u, between two of the 8192
+        # certification samples, so its sampled sup passes but the 65536-point density
+        # goes negative; verify would reject that document (density value 4 < 0).
+        rho, u = 1.0 + 1e-4, np.exp(1j * np.pi / 8192)
+        a, pole = 1.02 * (1.0 - 1.0 / rho), -u.conjugate() / rho
+        parameter = {
+            "type": "rational",
+            "numerator": [[a, 0.0]],
+            "denominator": [[1.0, 0.0], [pole.real, pole.imag]],
+        }
+        config = generate_config(tmp_path, [[0.5, 0], [0, 0.3]], parameter)
+        capsys.readouterr()
+        assert main(["generate", "--config", config, "--grid-size", "65536"]) == 1
+        assert "density sample 4" in capsys.readouterr().err
+        assert not (tmp_path / "measure.doc").exists()
+
 
 class TestVerify:
     def _verify_config(self, tmp_path, measure_path, **extra):
@@ -394,11 +411,15 @@ def _rational_argv(tmp_path, numerator, denominator):
     return _generate_argv(tmp_path, parameter=parameter)
 
 
-def _nan_atom_angle_argv(tmp_path):
+def _edited_measure_argv(tmp_path, keys, value):
+    """Verify argv for an atomic measure document whose entry at ``keys`` is set to ``value``."""
     config = generate_config(tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [1, 0]})
     assert main(["generate", "--config", config]) == 0
     doc = documents.read_document(tmp_path / "measure.doc")
-    doc["atoms"][0][0] = NAN
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
     (tmp_path / "measure.doc").write_text(json.dumps(doc), encoding="utf-8")
     payload = {
         "command": "verify",
@@ -418,10 +439,14 @@ NON_FINITE_INPUTS = {
     "nan-rational-denominator": lambda p: _rational_argv(
         p, [[0.1, 0]], [[1, 0], [0, 0], [NAN, 0]]
     ),
-    "nan-atom-angle": _nan_atom_angle_argv,
+    "nan-atom-angle": lambda p: _edited_measure_argv(p, ("atoms", 0, 0), NAN),
     "inf-tolerance-config": lambda p: _generate_argv(p, tolerance=math.inf),
     "inf-tolerance-flag": lambda p: _generate_argv(p) + ["--tolerance", "inf"],
     "huge-int-tolerance": lambda p: _generate_argv(p, tolerance=10**400),
+    # Integers beyond the float range: float() raises OverflowError on them.
+    "huge-int-node": lambda p: _generate_argv(p, nodes=[[10**330, 0]]),
+    "huge-int-density-value": lambda p: _edited_measure_argv(p, ("density", 4, 1), 10**400),
+    "huge-int-mass": lambda p: _edited_measure_argv(p, ("mass",), 10**400),
 }
 
 
