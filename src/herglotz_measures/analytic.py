@@ -100,31 +100,8 @@ class SchurParameter:
 
 
 @dataclass(frozen=True)
-class Constant(SchurParameter):
-    """omega(z) = gamma with |gamma| <= 1; |gamma| = 1 is the inner case."""
-
-    gamma: complex
-    _inner: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        gamma, inner = _snap_multiplier(complex(self.gamma))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_inner", inner)
-
-    @property
-    def is_inner(self) -> bool:
-        return self._inner
-
-    def values(self, z):
-        za = np.asarray(z, dtype=complex)
-        if za.ndim == 0:
-            return self.gamma
-        return np.full(za.shape, self.gamma, dtype=complex)
-
-
-@dataclass(frozen=True)
 class ScaledBlaschke(SchurParameter):
-    """omega = gamma * (finite Blaschke product with the given zeros)."""
+    """omega = gamma * (finite Blaschke product with the given zeros); |gamma| = 1 is inner."""
 
     gamma: complex
     zeros: tuple[complex, ...] = ()
@@ -147,7 +124,16 @@ class ScaledBlaschke(SchurParameter):
         return self._inner
 
     def values(self, z):
-        return self.gamma * _blaschke_raw(self.zeros, z)
+        # np.multiply, not gamma * B: on an owned temporary of 256 KiB or more the
+        # operator works in place, with its operands swapped, and changes last bits.
+        return np.multiply(self.gamma, blaschke_values(z, self.zeros))
+
+
+@dataclass(frozen=True)
+class Constant(ScaledBlaschke):
+    """omega(z) = gamma with |gamma| <= 1: the scaled Blaschke product with no zeros."""
+
+    zeros: tuple[complex, ...] = field(default=(), init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -210,38 +196,31 @@ def _require_closed_disc(za: np.ndarray) -> None:
         raise PoleHit("evaluation point outside the closed unit disc")
 
 
-def blaschke_values(t, zeros) -> np.ndarray:
-    """Normalized Blaschke product over the 1-d points ``t``, with no disc check."""
-    t = np.ascontiguousarray(t, dtype=complex)
+def blaschke_values(z, zeros):
+    """Normalized Blaschke product with the given zeros at a scalar or array z, no disc check.
+
+    The factor of a zero a = 0 is z itself.
+    """
+    za = np.asarray(z, dtype=complex)
+    t = za.ravel()
     out = np.ones_like(t)
     for a in np.asarray(zeros, dtype=complex):
         if a == 0:
             out = out * t
         else:
             out = out * ((a - t) / (1.0 - a.conjugate() * t) * (abs(a) / a))
-    # Owned, not a view: callers' products then reuse it in place, and output bits depend on that.
-    return out
-
-
-def _blaschke_raw(zeros: tuple[complex, ...], z):
-    za = np.asarray(z, dtype=complex)
-    vals = blaschke_values(za.reshape(-1), zeros)
-    if za.ndim == 0:
-        return complex(vals[0])
-    return vals.reshape(za.shape)
+    return complex(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
 def blaschke_eval(nodes: NodeSet, z):
     """Blaschke product of the nodes at z, factor z_k -> t replaced by t at z_k = 0."""
-    za = np.asarray(z, dtype=complex)
-    _require_closed_disc(za)
-    return _blaschke_raw(nodes.points, z)
+    _require_closed_disc(np.asarray(z, dtype=complex))
+    return blaschke_values(z, nodes.points)
 
 
 def schur_eval(param: SchurParameter, z):
     """Value of the certified parameter omega at z."""
-    za = np.asarray(z, dtype=complex)
-    _require_closed_disc(za)
+    _require_closed_disc(np.asarray(z, dtype=complex))
     return param.values(z)
 
 
@@ -255,18 +234,25 @@ def herglotz_eval(nodes: NodeSet, param: SchurParameter, z):
     return herglotz_from_s(s_eval(nodes, param, z))
 
 
+def herglotz_samples(s) -> tuple[np.ndarray, np.ndarray]:
+    """h = (1-|s|^2)/|1-s|^2 on an array of s, and the mask where |1 - s| < CAYLEY_SINGULARITY_THRESHOLD.
+
+    Masked entries of h are zero: so close to s = 1, h is not a density sample.
+    """
+    gap = np.abs(1.0 - s)
+    flagged = gap < CAYLEY_SINGULARITY_THRESHOLD
+    h = (1.0 - np.abs(s) ** 2) / np.where(flagged, 1.0, gap) ** 2
+    return np.where(flagged, 0.0, h), flagged
+
+
 def herglotz_from_s(s):
     """h = (1-|s|^2)/|1-s|^2 from values of s; CayleySingularity where s is near 1."""
     sa = np.asarray(s, dtype=complex)
-    gap = np.abs(1.0 - sa)
-    if float(np.min(gap)) < CAYLEY_SINGULARITY_THRESHOLD:
-        raise CayleySingularity(
-            f"|1 - s| = {float(np.min(gap))} below threshold {CAYLEY_SINGULARITY_THRESHOLD}"
-        )
-    h = (1.0 - np.abs(sa) ** 2) / gap**2
-    if sa.ndim == 0:
-        return float(h)
-    return h
+    h, flagged = herglotz_samples(sa)
+    if flagged.any():
+        gap = float(np.min(np.abs(1.0 - sa)))
+        raise CayleySingularity(f"|1 - s| = {gap} below threshold {CAYLEY_SINGULARITY_THRESHOLD}")
+    return float(h) if sa.ndim == 0 else h
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,13 @@ def run_generate(config: JobConfig) -> int:
 
 def run_verify(config: JobConfig) -> int:
     doc = documents.read_document(config.measure_path)
-    measure, _declared_mass = documents.measure_from_document(doc)
-    gram, phi = certify(measure, config.tolerance)
+    # A document's numbers are arbitrary input: a float overflow on them is an input error.
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            measure, _ = documents.measure_from_document(doc)
+            gram, phi = certify(measure, config.tolerance)
+        except FloatingPointError as exc:
+            raise SchemaError(f"measure document values leave the float range: {exc}") from exc
     documents.write_document(
         config.output_path,
         documents.verify_report_document(config.measure_path, gram, phi, measure.mass),

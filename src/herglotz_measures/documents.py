@@ -22,7 +22,15 @@ from .analytic import (
     validate_nodes,
 )
 from .errors import HerglotzMeasureError, SchemaError
-from .measure import DENSITY_TOL, Atom, GeneratedMeasure, MeasureKind, check_grid_size, circle_grid
+from .measure import (
+    DENSITY_TOL,
+    MASS_CONSISTENCY_TOL,
+    Atom,
+    CircleGrid,
+    GeneratedMeasure,
+    MeasureKind,
+    check_grid_size,
+)
 from .verify import GramReport, PhiConditionsReport
 
 MEASURE_SCHEMA = "herglotz-measure/v1"
@@ -222,7 +230,8 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     """Rebuild a measure from its document for re-verification.
 
     The returned measure carries param=None: its data is whatever the
-    document says, not what the recorded parameter would generate.
+    document says, not what the recorded parameter would generate.  The
+    declared mass must match the mass of that data within MASS_CONSISTENCY_TOL.
     """
     _require_keys(doc, _MEASURE_KEYS, "measure document")
     if doc["schema"] != MEASURE_SCHEMA:
@@ -238,7 +247,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
                 f"density must hold exactly grid_size = {doc['grid_size']} samples, "
                 f"got {len(samples) if isinstance(samples, list) else samples!r}"
             )
-        grid = circle_grid(doc["grid_size"])
+        grid = CircleGrid(doc["grid_size"])
     except (HerglotzMeasureError, ValueError) as exc:
         raise SchemaError(f"malformed measure document: {exc}") from exc
 
@@ -279,7 +288,13 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
         atoms=tuple(atoms),
         kind=kinds[doc["kind"]],
     )
-    return measure, _float_from(doc["mass"], "mass")
+    declared = _float_from(doc["mass"], "mass")
+    if not abs(declared - measure.mass) <= MASS_CONSISTENCY_TOL:
+        raise SchemaError(
+            f"declared mass {declared} does not match the mass {measure.mass} "
+            "of the density and atoms"
+        )
+    return measure, declared
 
 
 def verify_report_document(

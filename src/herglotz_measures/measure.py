@@ -16,17 +16,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .analytic import (
-    CAYLEY_SINGULARITY_THRESHOLD,
     NodeSet,
-    ScaledBlaschke,
     SchurParameter,
     blaschke_values,
     herglotz_eval,
+    herglotz_samples,
 )
 from .errors import (
     MassConsistencyFailure,
@@ -99,20 +97,6 @@ def check_grid_size(size) -> None:
         )
 
 
-@lru_cache(maxsize=4)
-def circle_grid(size: int) -> CircleGrid:
-    """The shared CircleGrid of this size; its arrays are read-only."""
-    return CircleGrid(size)
-
-
-@lru_cache(maxsize=4)
-def grid_blaschke(nodes: NodeSet, grid: CircleGrid) -> np.ndarray:
-    """Read-only B of the nodes on the grid, shared by every parameter on these nodes."""
-    values = blaschke_values(grid.points, nodes.as_array())
-    values.setflags(write=False)
-    return values
-
-
 @dataclass(frozen=True)
 class Atom:
     """Point mass of the representing measure, located on the unit circle."""
@@ -168,30 +152,18 @@ class GeneratedMeasure:
         return locs, weights
 
 
-def _density_values(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Herglotz density (1-|s|^2)/|1-s|^2 with near-singular entries zeroed and flagged."""
-    gap = np.abs(1.0 - s)
-    flagged = gap < threshold
-    safe = np.where(flagged, 1.0, gap)
-    density = np.where(flagged, 0.0, (1.0 - np.abs(s) ** 2) / safe**2)
-    return density, flagged
-
-
 def boundary_density(
-    nodes: NodeSet, param: SchurParameter, grid: CircleGrid
+    nodes: NodeSet, param: SchurParameter, grid: CircleGrid, blaschke: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Densities h(t_j) = (1-|s|^2)/|1-s|^2 plus a mask of near-singular points.
 
     Flagged entries (|1 - s| below the Cayley singularity threshold) are set
-    to zero so that quadrature automatically excludes them.
+    to zero so that quadrature automatically excludes them.  ``blaschke`` is B
+    of the nodes on the grid, when a caller already has it.
     """
-    s = grid_blaschke(nodes, grid) * param.values(grid.points)
-    return _density_values(s, CAYLEY_SINGULARITY_THRESHOLD)
-
-
-def _inner_data(nodes: NodeSet, param: SchurParameter) -> tuple[complex, tuple[complex, ...]]:
-    extra = param.zeros if isinstance(param, ScaledBlaschke) else ()
-    return param.gamma, nodes.points + tuple(extra)
+    if blaschke is None:
+        blaschke = blaschke_values(grid.points, nodes.points)
+    return herglotz_samples(blaschke * param.values(grid.points))
 
 
 def _lift_offset(gamma: complex, zeros: np.ndarray) -> float:
@@ -293,26 +265,31 @@ def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     """
     if not param.is_inner:
         raise NotInnerParameter("atom extraction requires an inner parameter")
-    gamma, zeros = _inner_data(nodes, param)
-    (atoms,) = solve_atoms((gamma,), np.asarray(zeros, dtype=complex))
+    zeros = np.asarray(nodes.points + param.zeros, dtype=complex)
+    (atoms,) = solve_atoms((param.gamma,), zeros)
     if isinstance(atoms, PhaseWindingMismatch):
         raise atoms
     return atoms
 
 
 def assemble_measure(
-    nodes: NodeSet, param: SchurParameter, grid: CircleGrid, atoms: tuple[Atom, ...] = ()
+    nodes: NodeSet,
+    param: SchurParameter,
+    grid: CircleGrid,
+    atoms: tuple[Atom, ...] = (),
+    blaschke: np.ndarray | None = None,
 ) -> GeneratedMeasure:
     """The measure of the parameter on the grid: the given atoms if it is inner, else its density.
 
     Raises UnsupportedMixedCase when the density of a non-inner parameter comes
     within the singularity threshold of s = 1, and ParameterNotCertified when a
-    density sample is negative.  The mass is not checked here.
+    density sample is negative.  The mass is not checked here.  ``blaschke`` is
+    passed on to boundary_density.
     """
     if param.is_inner:
         density, kind = np.zeros(grid.size), MeasureKind.PURELY_ATOMIC
     else:
-        density, flagged = boundary_density(nodes, param, grid)
+        density, flagged = boundary_density(nodes, param, grid, blaschke)
         if flagged.any():
             raise UnsupportedMixedCase(
                 f"{int(flagged.sum())} boundary points of a non-inner parameter "
@@ -338,7 +315,7 @@ def build_measure(
     value at the origin (MassConsistencyFailure otherwise).
     """
     check_grid_size(grid_size)
-    grid = circle_grid(grid_size)
+    grid = CircleGrid(grid_size)
     atoms = find_atoms(nodes, param) if param.is_inner else ()
     measure = assemble_measure(nodes, param, grid, atoms)
     total_mass(measure)

@@ -24,7 +24,6 @@ and not a bound; a negative density sample proves |omega| > 1 there, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .analytic import (
     NodeSet,
     SpecialSystemResult,
     blaschke_eval,
+    blaschke_values,
     herglotz_from_s,
     mass_bound_base,
     solve_special_system,
@@ -40,12 +40,12 @@ from .analytic import (
 from .errors import PhaseWindingMismatch
 from .measure import (
     DEFAULT_GRID_SIZE,
+    CircleGrid,
     GeneratedMeasure,
     assemble_measure,
     build_measure,
     check_grid_size,
     check_mass,
-    circle_grid,
     solve_atoms,
 )
 
@@ -109,15 +109,13 @@ def _node_phi(measure: GeneratedMeasure, grid_cauchy: np.ndarray | None = None) 
     return measure.mass + 2.0 * z * sums
 
 
-@lru_cache(maxsize=4)
 def gram_target(nodes: NodeSet) -> np.ndarray:
-    """Read-only Lebesgue Gram matrix of the Cauchy fractions: 1/(1 - z_k conj(z_l))."""
+    """Lebesgue Gram matrix of the Cauchy fractions: 1/(1 - z_k conj(z_l))."""
     z = nodes.as_array()
     target = 1.0 / (1.0 - np.outer(z, z.conj()))
     # Conjugate-symmetric assembly: keep k <= l, reflect, real diagonal.
     out = np.triu(target) + np.triu(target, 1).conj().T
     np.fill_diagonal(out, out.diagonal().real)
-    out.setflags(write=False)
     return out
 
 
@@ -131,10 +129,9 @@ def gram_compute(measure: GeneratedMeasure) -> np.ndarray:
     return _gram_from_phi(_node_phi(measure), gram_target(measure.nodes))
 
 
-def _gram_report(nodes: NodeSet, phi: np.ndarray, tolerance: float) -> GramReport:
+def _gram_report(phi: np.ndarray, target: np.ndarray, tolerance: float) -> GramReport:
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    target = gram_target(nodes)
     computed = _gram_from_phi(phi, target)
     max_abs_error = float(np.max(np.abs(computed - target)))
     return GramReport(
@@ -152,7 +149,7 @@ def _phi_report(phi: np.ndarray, tolerance: float) -> PhiConditionsReport:
 
 def verify_membership(measure: GeneratedMeasure, tolerance: float) -> GramReport:
     """Certify membership by the entrywise Gram defect; never raises on fail."""
-    return _gram_report(measure.nodes, _node_phi(measure), tolerance)
+    return _gram_report(_node_phi(measure), gram_target(measure.nodes), tolerance)
 
 
 def check_phi_conditions(measure: GeneratedMeasure, tolerance: float) -> PhiConditionsReport:
@@ -167,7 +164,7 @@ def check_phi_conditions(measure: GeneratedMeasure, tolerance: float) -> PhiCond
 def certify(measure: GeneratedMeasure, tolerance: float) -> tuple[GramReport, PhiConditionsReport]:
     """Both certificates (verify_membership, check_phi_conditions) from one phi pass."""
     phi = _node_phi(measure)
-    return _gram_report(measure.nodes, phi, tolerance), _phi_report(phi, tolerance)
+    return _gram_report(phi, gram_target(measure.nodes), tolerance), _phi_report(phi, tolerance)
 
 
 def mass_bounds(nodes: NodeSet) -> tuple[float, float]:
@@ -195,10 +192,13 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     and the |gamma| = 1 rows share one atom solve.
     """
     check_grid_size(grid_size)
-    grid = circle_grid(grid_size)
+    grid = CircleGrid(grid_size)
     z = nodes.as_array()
     b0 = blaschke_eval(nodes, 0j)
-    cauchy = ring = None
+    blaschke = blaschke_values(grid.points, z)
+    target = gram_target(nodes)
+    cauchy = _cauchy_matrix(grid.points, z)
+    ring = None
     # Parameters are made one row at a time: a list of them all left the small-object
     # heap fragmented and raised peak RSS.
     for k, param in enumerate(map(Constant, gammas)):
@@ -210,10 +210,6 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
             atoms = next(ring)
             if isinstance(atoms, PhaseWindingMismatch):
                 raise atoms
-        measure = assemble_measure(nodes, param, grid, atoms)
+        measure = assemble_measure(nodes, param, grid, atoms, blaschke)
         check_mass(measure, herglotz_from_s(b0 * param.gamma))
-        if cauchy is None:
-            # Built after the first row has filled the node caches: cached arrays
-            # allocated above it pinned the freed matrix and raised peak RSS.
-            cauchy = _cauchy_matrix(grid.points, z)
-        yield measure.mass, _gram_report(nodes, _node_phi(measure, cauchy), tolerance)
+        yield measure.mass, _gram_report(_node_phi(measure, cauchy), target, tolerance)

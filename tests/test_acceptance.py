@@ -281,6 +281,7 @@ def test_criterion_9_cli_round_trip(tmp_path):
 
     doc = documents.read_document(measure_path)
     doc["atoms"][0] = [doc["atoms"][0][0], 1.0]
+    doc["mass"] = 1.0  # a mass that disagrees with the atoms exits 2 instead
     documents.write_document(measure_path, doc)
     edited_rc = cli_main(["verify", "--config", str(verify_config)])
     report = documents.read_document(report_path)

@@ -181,12 +181,28 @@ class TestVerify:
         assert main(["generate", "--config", config]) == 0
         doc = documents.read_document(tmp_path / "measure.doc")
         doc["atoms"][0] = [doc["atoms"][0][0], 1.0]
+        doc["mass"] = 1.0  # a mass that disagrees with the atoms exits 2 instead
         documents.write_document(tmp_path / "measure.doc", doc)
         verify_config = self._verify_config(tmp_path, tmp_path / "measure.doc")
         assert main(["verify", "--config", verify_config]) == 1
         report = documents.read_document(tmp_path / "report.doc")
         assert report["max_abs_error"] == pytest.approx(8 / 9, abs=1e-10)
         assert report["phi_passed"] is False
+
+    def test_declared_mass_off_the_samples_exit_2(self, tmp_path, capsys):
+        config = generate_config(
+            tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [0.5, 0]}, grid_size=512
+        )
+        assert main(["generate", "--config", config]) == 0
+        doc = documents.read_document(tmp_path / "measure.doc")
+        mass, doc["mass"] = doc["mass"], 123.0
+        documents.write_document(tmp_path / "measure.doc", doc)
+        verify_config = self._verify_config(tmp_path, tmp_path / "measure.doc")
+        capsys.readouterr()
+        assert main(["verify", "--config", verify_config]) == 2
+        err = capsys.readouterr().err
+        assert "123.0" in err and repr(mass) in err
+        assert not (tmp_path / "report.doc").exists()
 
     def test_truncated_document_exit_2(self, tmp_path):
         config = generate_config(
@@ -411,15 +427,20 @@ def _rational_argv(tmp_path, numerator, denominator):
     return _generate_argv(tmp_path, parameter=parameter)
 
 
-def _edited_measure_argv(tmp_path, keys, value):
-    """Verify argv for an atomic measure document whose entry at ``keys`` is set to ``value``."""
-    config = generate_config(tmp_path, [[0.5, 0]], {"type": "constant", "gamma": [1, 0]})
+def _edited_measure_argv(tmp_path, edits, parameter=None, **extra):
+    """Verify argv for a measure document with ``edits``, a {key path: value} mapping, applied.
+
+    The document is the atomic measure of gamma = 1 unless ``parameter`` is given.
+    """
+    parameter = parameter or {"type": "constant", "gamma": [1, 0]}
+    config = generate_config(tmp_path, [[0.5, 0]], parameter, **extra)
     assert main(["generate", "--config", config]) == 0
     doc = documents.read_document(tmp_path / "measure.doc")
-    entry = doc
-    for key in keys[:-1]:
-        entry = entry[key]
-    entry[keys[-1]] = value
+    for keys, value in edits.items():
+        entry = doc
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
     (tmp_path / "measure.doc").write_text(json.dumps(doc), encoding="utf-8")
     payload = {
         "command": "verify",
@@ -439,14 +460,21 @@ NON_FINITE_INPUTS = {
     "nan-rational-denominator": lambda p: _rational_argv(
         p, [[0.1, 0]], [[1, 0], [0, 0], [NAN, 0]]
     ),
-    "nan-atom-angle": lambda p: _edited_measure_argv(p, ("atoms", 0, 0), NAN),
+    "nan-atom-angle": lambda p: _edited_measure_argv(p, {("atoms", 0, 0): NAN}),
     "inf-tolerance-config": lambda p: _generate_argv(p, tolerance=math.inf),
     "inf-tolerance-flag": lambda p: _generate_argv(p) + ["--tolerance", "inf"],
     "huge-int-tolerance": lambda p: _generate_argv(p, tolerance=10**400),
     # Integers beyond the float range: float() raises OverflowError on them.
     "huge-int-node": lambda p: _generate_argv(p, nodes=[[10**330, 0]]),
-    "huge-int-density-value": lambda p: _edited_measure_argv(p, ("density", 4, 1), 10**400),
-    "huge-int-mass": lambda p: _edited_measure_argv(p, ("mass",), 10**400),
+    "huge-int-density-value": lambda p: _edited_measure_argv(p, {("density", 4, 1): 10**400}),
+    "huge-int-mass": lambda p: _edited_measure_argv(p, {("mass",): 10**400}),
+    # Finite samples whose sum overflows in the mass.
+    "huge-density-values": lambda p: _edited_measure_argv(
+        p,
+        {("density", 3, 1): 1.7e308, ("density", 7, 1): 1.7e308},
+        parameter={"type": "constant", "gamma": [0.5, 0]},
+        grid_size=256,
+    ),
 }
 
 
@@ -455,45 +483,42 @@ def test_non_finite_input_exit_2(tmp_path, capsys, case):
     argv = NON_FINITE_INPUTS[case](tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def _clear_node_caches():
-    measure.circle_grid.cache_clear()
-    measure.grid_blaschke.cache_clear()
-    verify.gram_target.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestNodeOnlyWorkReuse:
-    """B on the grid and the Gram target are computed once per node set.
-
-    The caches never change output bytes.
-    """
+    """A sweep does its node-only work once per call, and reruns write identical bytes."""
 
     def test_sweep_evaluates_grid_blaschke_once_per_node_set(self, tmp_path, monkeypatch):
         grid_size = 512
-        grid_calls, origin_calls, cauchy_calls = [], [], []
+        calls = {"grid_blaschke": [], "origin_blaschke": [], "cauchy": [], "gram_target": []}
+        cauchy_matrix, gram_target = verify._cauchy_matrix, verify.gram_target
 
-        def counting(calls, original, wanted_size):
-            def wrapper(t, z):
-                if np.size(t) == wanted_size:
-                    calls.append(len(z))
-                return original(t, z)
+        def counting_blaschke(original):
+            def wrapper(z, zeros):
+                if len(zeros):  # not a parameter's product, which has no zeros
+                    key = "grid_blaschke" if np.size(z) == grid_size else "origin_blaschke"
+                    calls[key].append(len(zeros))
+                return original(z, zeros)
 
             return wrapper
 
-        monkeypatch.setattr(
-            measure, "blaschke_values", counting(grid_calls, measure.blaschke_values, grid_size)
-        )
-        # B(0) goes through analytic.blaschke_values with one point.
-        monkeypatch.setattr(
-            analytic, "blaschke_values", counting(origin_calls, analytic.blaschke_values, 1)
-        )
-        monkeypatch.setattr(
-            verify, "_cauchy_matrix", counting(cauchy_calls, verify._cauchy_matrix, grid_size)
-        )
-        _clear_node_caches()
-        for k, nodes in enumerate(([[0.5, 0], [0.1, -0.3]], [[0.2, 0.6]])):
+        def counting_cauchy(points, z):
+            if points.size == grid_size:  # not an atom row's matrix
+                calls["cauchy"].append(z.size)
+            return cauchy_matrix(points, z)
+
+        def counting_gram_target(nodes):
+            calls["gram_target"].append(nodes.n)
+            return gram_target(nodes)
+
+        # B(0) goes through analytic.blaschke_values from blaschke_eval.
+        for module in (analytic, measure, verify):
+            monkeypatch.setattr(module, "blaschke_values", counting_blaschke(module.blaschke_values))
+        monkeypatch.setattr(verify, "_cauchy_matrix", counting_cauchy)
+        monkeypatch.setattr(verify, "gram_target", counting_gram_target)
+        for nodes in ([[0.5, 0], [0.1, -0.3]], [[0.2, 0.6]]):
             payload = {
                 "command": "sweep",
                 "nodes": nodes,
@@ -503,11 +528,8 @@ class TestNodeOnlyWorkReuse:
                 "output_path": str(tmp_path / "sweep.csv"),
             }
             assert main(["sweep", "--config", write_config(tmp_path / "s.json", payload)]) == 0
-            assert len(grid_calls) == k + 1
-            assert verify.gram_target.cache_info().misses == k + 1
-            assert len(origin_calls) == len(cauchy_calls) == k + 1
-        assert grid_calls == [2, 1]
-        assert origin_calls == cauchy_calls == [2, 1]
+        # One call of each per sweep call, for its n = 2 and then its n = 1 nodes.
+        assert calls == {key: [2, 1] for key in calls}
 
     def _generate_at_65536(self, tmp_path):
         parameter = {"type": "scaled-blaschke", "gamma": [0.4, 0.3], "zeros": [[0.2, -0.5]]}
@@ -518,10 +540,9 @@ class TestNodeOnlyWorkReuse:
         return (tmp_path / "measure.doc").read_bytes(), config
 
     def test_generate_twice_writes_identical_bytes(self, tmp_path):
-        _clear_node_caches()
-        cold, config = self._generate_at_65536(tmp_path)
+        first, config = self._generate_at_65536(tmp_path)
         assert main(["generate", "--config", config]) == 0
-        assert (tmp_path / "measure.doc").read_bytes() == cold
+        assert (tmp_path / "measure.doc").read_bytes() == first
 
     def test_inner_generate_and_verify_twice_write_identical_bytes(self, tmp_path):
         parameter = {"type": "scaled-blaschke", "gamma": [0.6, 0.8], "zeros": [[0.2, -0.5]]}
@@ -532,9 +553,8 @@ class TestNodeOnlyWorkReuse:
             "output_path": str(tmp_path / "report.doc"),
         }
         verify_config = write_config(tmp_path / "verify.json", payload)
-        _clear_node_caches()
         outputs = []
-        for _ in range(2):  # cold caches, then warm
+        for _ in range(2):
             assert main(["generate", "--config", generate]) == 0
             assert main(["verify", "--config", verify_config]) == 0
             outputs.append([(tmp_path / f).read_bytes() for f in ("measure.doc", "report.doc")])
@@ -549,8 +569,7 @@ class TestNodeOnlyWorkReuse:
             "output_path": str(tmp_path / "report.doc"),
         }
         config = write_config(tmp_path / "verify.json", payload)
-        _clear_node_caches()
         assert main(["verify", "--config", config]) == 0
-        cold = (tmp_path / "report.doc").read_bytes()
+        first = (tmp_path / "report.doc").read_bytes()
         assert main(["verify", "--config", config]) == 0
-        assert (tmp_path / "report.doc").read_bytes() == cold
+        assert (tmp_path / "report.doc").read_bytes() == first

@@ -87,6 +87,18 @@ class TestParameterCodec:
         assert type(rebuilt) is type(param)
         assert documents.parameter_descriptor(rebuilt) == descriptor
 
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"type": "constant", "gamma": [0.5, -0.25]},
+            {"type": "scaled-blaschke", "gamma": [0.5, -0.25], "zeros": []},
+        ],
+    )
+    def test_zero_free_descriptor_keeps_its_type(self, descriptor):
+        # A Constant is a ScaledBlaschke without zeros; each keeps its own descriptor.
+        param = documents.parameter_from_descriptor(descriptor)
+        assert documents.parameter_descriptor(param) == descriptor
+
     def test_unknown_type_rejected(self):
         with pytest.raises(hm.SchemaError):
             documents.parameter_from_descriptor({"type": "outer", "gamma": [0.5, 0]})
@@ -170,6 +182,12 @@ class TestMeasureDocument:
         with pytest.raises(hm.SchemaError):
             documents.measure_from_document(doc)
 
+    def test_declared_mass_must_match_the_data(self):
+        doc, _ = _measure_doc([0.5], hm.Constant(0.5))
+        doc["mass"] += 2e-9
+        with pytest.raises(hm.SchemaError, match="declared mass"):
+            documents.measure_from_document(doc)
+
     def test_invalid_nodes_rejected(self):
         doc, _ = _measure_doc([0.5], hm.Constant(0.5))
         doc["nodes"] = [[0.5, 0.0], [0.5, 0.0]]
@@ -179,6 +197,7 @@ class TestMeasureDocument:
     def test_edited_weight_still_parses_but_fails_membership(self):
         doc, _ = _measure_doc([0.5], hm.Constant(1.0))
         doc["atoms"][0] = [doc["atoms"][0][0], 1.0]
+        doc["mass"] = 1.0
         rebuilt, _ = documents.measure_from_document(doc)
         report = hm.verify_membership(rebuilt, 1e-6)
         assert not report.passed
