@@ -36,6 +36,7 @@ from .errors import (
     PhaseWindingMismatch,
     PoleHit,
     SchemaError,
+    TooManyNodes,
     UnsupportedMixedCase,
 )
 from .measure import (
@@ -89,6 +90,7 @@ __all__ = [
     "SchemaError",
     "SchurParameter",
     "SpecialSystemResult",
+    "TooManyNodes",
     "UnsupportedMixedCase",
     "blaschke_eval",
     "boundary_density",

@@ -23,6 +23,7 @@ from .errors import (
     NodeOutsideDisc,
     ParameterNotCertified,
     PoleHit,
+    TooManyNodes,
 )
 
 #: |1 - s| below this raises CayleySingularity (atom signal, not a fault).
@@ -41,6 +42,11 @@ UNIMODULAR_SNAP_TOL = 1e-12
 #: Default residual tolerance of the special system (matches quadrature accuracy).
 SPECIAL_SYSTEM_TOL = 1e-8
 
+#: Largest node count.  Past the bounded phi pass, memory grows like n^2 (the Gram
+#: matrices, their JSON, the special system): at n = 1024 generate peaks below 1 GB of
+#: RSS even at N = 2**20, and n = 4096 would need about 10 GB.
+MAX_NODES = 1024
+
 _DISC_SLACK = 1e-12
 
 
@@ -54,6 +60,8 @@ class NodeSet:
         points = tuple(complex(p) for p in self.points)
         if not points:
             raise EmptyNodeList("at least one interpolation node is required")
+        if len(points) > MAX_NODES:
+            raise TooManyNodes(f"{len(points)} interpolation nodes, above the limit of {MAX_NODES}")
         for k, p in enumerate(points):
             if not abs(p) < 1.0:
                 raise NodeOutsideDisc(f"node {k} = {p} is not inside the open unit disc")

@@ -17,6 +17,10 @@ class EmptyNodeList(HerglotzMeasureError):
     """No interpolation nodes were supplied."""
 
 
+class TooManyNodes(HerglotzMeasureError):
+    """More interpolation nodes than MAX_NODES were supplied."""
+
+
 class ParameterNotCertified(HerglotzMeasureError):
     """A parameter failed its Schur-class certificate."""
 

@@ -11,9 +11,11 @@ On |t| = 1 the kernel identity
 
 holds pointwise, so it holds exactly for grid samples and atoms too: the
 Gram matrix is (phi(z_k) + conj(phi(z_l)))/2 times the target, and both
-certificates come from the n values phi(z_k), one O(nN) pass.  The direct
-route, one quadrature of 1/((t - z') conj(t - z'')) per pair, lives only in
-the tests, as their Gram oracle.
+certificates come from the n values phi(z_k), one O(nN) pass.  That pass
+holds at most one block of the n x N Cauchy matrix, _PHI_BLOCK_ELEMENTS
+entries, so its memory is bounded for any n and N.  The direct route, one
+quadrature of 1/((t - z') conj(t - z'')) per pair, lives only in the tests,
+as their Gram oracle.
 
 Both certificates judge the sampled measure they are given.  The boundary
 sup of a rational parameter is a maximum over 8192 samples, a sampled check
@@ -49,6 +51,11 @@ from .measure import (
     solve_atoms,
 )
 
+#: Entries of one block of the phi pass's Cauchy matrix (complex, so 8 MiB).  Memory
+#: stays bounded for any n and N; at n = 128 smaller blocks ran slower, and at N = 65536
+#: the whole matrix took twice as long.
+_PHI_BLOCK_ELEMENTS = 1 << 19
+
 
 @dataclass(frozen=True, eq=False)
 class GramReport:
@@ -81,9 +88,9 @@ class PhiConditionsReport:
         return self.system.solvable
 
 
-def _cauchy_matrix(points: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """1/(t_j - z_k) as one n x len(t) matrix, inverted in place."""
-    cauchy = points[None, :] - z[:, None]
+def _cauchy_matrix(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1/(t_j - z_k) as one n x len(t) matrix, inverted in place (written into ``out`` if given)."""
+    cauchy = np.subtract(points[None, :], z[:, None], out=out)
     np.reciprocal(cauchy, out=cauchy)
     return cauchy
 
@@ -91,18 +98,24 @@ def _cauchy_matrix(points: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _node_phi(measure: GeneratedMeasure, grid_cauchy: np.ndarray | None = None) -> np.ndarray:
     """phi(z_k) at every node in one pass: mass + 2 z_k * integral of 1/(t - z_k).
 
-    ``grid_cauchy`` is the _cauchy_matrix of the grid at the nodes, when a caller already has it.
+    The density part is summed over blocks of grid columns, one reused block of at
+    most _PHI_BLOCK_ELEMENTS entries.  ``grid_cauchy`` is the _cauchy_matrix of the
+    grid at the nodes, when a caller already has it.
     """
     z = measure.nodes.as_array()
     sums = np.zeros(z.size, dtype=complex)
     if np.any(measure.density):
-        # Weights before a fresh matrix, and the matrix freed right after its product:
-        # the reverse raised a roundtrip benchmark run's peak RSS by 5 MB.
         weights = measure.density / measure.grid.size
-        if grid_cauchy is None:
-            sums += _cauchy_matrix(measure.grid.points, z) @ weights
-        else:
+        if grid_cauchy is not None:
             sums += grid_cauchy @ weights
+        else:
+            points = measure.grid.points
+            width = min(points.size, max(1, _PHI_BLOCK_ELEMENTS // z.size))
+            block = np.empty((z.size, width), dtype=complex)
+            for start in range(0, points.size, width):
+                chunk = points[start : start + width]
+                cauchy = _cauchy_matrix(chunk, z, block[:, : chunk.size])
+                sums += cauchy @ weights[start : start + width]
     if measure.atoms:
         locations, weights = measure.atom_arrays()
         sums += _cauchy_matrix(locations, z) @ weights
@@ -197,7 +210,9 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     b0 = blaschke_eval(nodes, 0j)
     blaschke = blaschke_values(grid.points, z)
     target = gram_target(nodes)
-    cauchy = _cauchy_matrix(grid.points, z)
+    # Reused across the rows only when it is one block; above that each row takes the blocked pass.
+    one_block = z.size * grid.size <= _PHI_BLOCK_ELEMENTS
+    cauchy = _cauchy_matrix(grid.points, z) if one_block else None
     ring = None
     # Parameters are made one row at a time: a list of them all left the small-object
     # heap fragmented and raised peak RSS.

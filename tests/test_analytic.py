@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import herglotz_measures as hm
+from herglotz_measures.analytic import MAX_NODES
 import conftest
 from conftest import TWO_PI, oracle_blaschke, random_contractive_param, random_nodes
 
@@ -26,6 +27,12 @@ class TestValidateNodes:
     def test_empty_rejected(self):
         with pytest.raises(hm.EmptyNodeList):
             hm.validate_nodes([])
+
+    def test_node_count_cap(self):
+        points = 0.5 * np.arange(MAX_NODES + 1) / (MAX_NODES + 1)
+        assert hm.validate_nodes(points[:MAX_NODES]).n == MAX_NODES
+        with pytest.raises(hm.TooManyNodes, match=f"{MAX_NODES + 1} .* limit of {MAX_NODES}"):
+            hm.validate_nodes(points)
 
     def test_order_preserved(self):
         nodes = hm.validate_nodes([0.5, 0.3j, -0.1])

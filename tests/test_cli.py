@@ -8,6 +8,7 @@ import pytest
 
 import herglotz_measures as hm
 from herglotz_measures import analytic, documents, measure, verify
+from herglotz_measures.analytic import MAX_NODES
 from herglotz_measures.cli import main
 from conftest import TWO_PI, random_nodes
 
@@ -378,7 +379,7 @@ class TestSweep:
         err = capsys.readouterr().err
         return code, err, self._per_gamma(nodes, *steps, grid_size)
 
-    def test_rows_equal_per_gamma_build_and_verify(self, tmp_path, capsys):
+    def _assert_rows_equal_per_gamma_build_and_verify(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         outcomes = set()
         for _ in range(16):
@@ -399,6 +400,15 @@ class TestSweep:
                 assert code == (0 if all(row[3] <= 1e-8 for row in rows) else 1)
             outcomes.add(bool(expected_err))
         assert outcomes == {False, True}
+
+    def test_rows_equal_per_gamma_build_and_verify(self, tmp_path, capsys):
+        self._assert_rows_equal_per_gamma_build_and_verify(tmp_path, capsys)
+
+    def test_blocked_rows_equal_per_gamma_build_and_verify(self, tmp_path, capsys, monkeypatch):
+        # Every n * N of these sweeps (n <= 8, N >= 256) is above this budget, so each row
+        # takes the blocked phi pass, in ragged blocks of 255 // n columns, as generate does.
+        monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", 255)
+        self._assert_rows_equal_per_gamma_build_and_verify(tmp_path, capsys)
 
     def test_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -487,12 +497,48 @@ def test_non_finite_input_exit_2(tmp_path, capsys, case):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+#: MAX_NODES + 1 distinct nodes inside the disc.
+_TOO_MANY_NODES = [[0.5 * k / (MAX_NODES + 1), 0.0] for k in range(MAX_NODES + 1)]
+
+
+def _too_many_nodes_sweep_argv(tmp_path):
+    payload = {
+        "command": "sweep",
+        "nodes": _TOO_MANY_NODES,
+        "sweep": {"radius_steps": 2, "angle_steps": 2},
+        "output_path": str(tmp_path / "sweep.csv"),
+    }
+    return ["sweep", "--config", write_config(tmp_path / "sweep.json", payload)]
+
+
+TOO_MANY_NODES_INPUTS = {
+    "generate": (lambda p: _generate_argv(p, nodes=_TOO_MANY_NODES), "measure.doc"),
+    "sweep": (_too_many_nodes_sweep_argv, "sweep.csv"),
+    "verify": (lambda p: _edited_measure_argv(p, {("nodes",): _TOO_MANY_NODES}), "report.doc"),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_MANY_NODES_INPUTS))
+def test_too_many_nodes_exit_2_writes_nothing(tmp_path, capsys, case):
+    make_argv, output = TOO_MANY_NODES_INPUTS[case]
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{MAX_NODES + 1} interpolation nodes, above the limit of {MAX_NODES}" in err
+    assert not (tmp_path / output).exists()
+
+
 class TestNodeOnlyWorkReuse:
     """A sweep does its node-only work once per call, and reruns write identical bytes."""
 
-    def test_sweep_evaluates_grid_blaschke_once_per_node_set(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _node_only_calls(tmp_path, monkeypatch):
+        """Node-only work of two sweep calls (n = 2, then n = 1), and the grid's Cauchy blocks."""
         grid_size = 512
         calls = {"grid_blaschke": [], "origin_blaschke": [], "cauchy": [], "gram_target": []}
+        blocks = []
         cauchy_matrix, gram_target = verify._cauchy_matrix, verify.gram_target
 
         def counting_blaschke(original):
@@ -504,10 +550,12 @@ class TestNodeOnlyWorkReuse:
 
             return wrapper
 
-        def counting_cauchy(points, z):
-            if points.size == grid_size:  # not an atom row's matrix
+        def counting_cauchy(points, z, out=None):
+            if points.size == grid_size:  # the whole grid matrix
                 calls["cauchy"].append(z.size)
-            return cauchy_matrix(points, z)
+            elif out is not None:  # a block of the grid, not an atom row's matrix
+                blocks.append(points.size)
+            return cauchy_matrix(points, z, out)
 
         def counting_gram_target(nodes):
             calls["gram_target"].append(nodes.n)
@@ -528,8 +576,21 @@ class TestNodeOnlyWorkReuse:
                 "output_path": str(tmp_path / "sweep.csv"),
             }
             assert main(["sweep", "--config", write_config(tmp_path / "s.json", payload)]) == 0
+        return calls, blocks
+
+    def test_sweep_evaluates_grid_blaschke_once_per_node_set(self, tmp_path, monkeypatch):
+        calls, blocks = self._node_only_calls(tmp_path, monkeypatch)
         # One call of each per sweep call, for its n = 2 and then its n = 1 nodes.
         assert calls == {key: [2, 1] for key in calls}
+        assert blocks == []  # the rows reuse the one-block matrix
+
+    def test_sweep_above_the_block_budget_builds_no_grid_matrix(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", 500)  # below n * N = 1024 and 512
+        calls, blocks = self._node_only_calls(tmp_path, monkeypatch)
+        assert calls == {key: ([] if key == "cauchy" else [2, 1]) for key in calls}
+        # Each of the 16 density rows per call sums its own blocks: 250 + 250 + 12 columns
+        # for n = 2, then 500 + 12 for n = 1.
+        assert blocks == [250, 250, 12] * 16 + [500, 12] * 16
 
     def _generate_at_65536(self, tmp_path):
         parameter = {"type": "scaled-blaschke", "gamma": [0.4, 0.3], "zeros": [[0.2, -0.5]]}

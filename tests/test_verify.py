@@ -1,12 +1,16 @@
 """Gram certification, phi-conditions, mass bounds, extremal measures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import herglotz_measures as hm
+from herglotz_measures import verify
 from herglotz_measures.measure import CircleGrid, MeasureKind
 import conftest
 from conftest import (
+    TWO_PI,
     oracle_gram,
     oracle_gram_target,
     random_contractive_param,
@@ -172,6 +176,60 @@ class TestExactPhiOracle:
         measure = hm.build_measure(NEAR_CIRCLE_NODES, param, 4096)
         assert _exact_phi_error(measure, param) <= 1e-12
         assert hm.verify_membership(measure, 1e-8).passed
+
+
+def _random_density_measure(n, grid_size, seed):
+    """n random nodes with a positive random density: any sampled measure takes the phi pass."""
+    rng = np.random.default_rng(seed)
+    z = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+    return hm.GeneratedMeasure(
+        nodes=hm.validate_nodes(z),
+        param=None,
+        grid=CircleGrid(grid_size),
+        density=rng.uniform(0.5, 1.5, grid_size),
+        atoms=(),
+        kind=MeasureKind.ABSOLUTELY_CONTINUOUS,
+    )
+
+
+def _unblocked_phi(measure):
+    """phi(z_k) from one whole n x N Cauchy matrix, the product the blocked pass splits."""
+    z = measure.nodes.as_array()
+    cauchy = 1.0 / (measure.grid.points[None, :] - z[:, None])
+    return measure.mass + 2.0 * z * (cauchy @ (measure.density / measure.grid.size))
+
+
+class TestBlockedPhiPass:
+    """The density part of phi is summed over column blocks of bounded size."""
+
+    @staticmethod
+    def _assert_matches_unblocked(measure):
+        reference = _unblocked_phi(measure)
+        phi = verify._node_phi(measure)
+        assert np.max(np.abs(phi - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("grid_size", [256, 4096, 65536])
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    def test_matches_one_unblocked_product(self, n, grid_size):
+        self._assert_matches_unblocked(_random_density_measure(n, grid_size, seed=n + grid_size))
+
+    @pytest.mark.parametrize("budget", [3, 700], ids=["width-1", "ragged-last-block"])
+    def test_budget_below_the_grid(self, monkeypatch, budget):
+        # n = 7: a budget below n still takes one column per block; 700 takes 100 columns,
+        # so the last of the three blocks of N = 256 is 56 columns wide.
+        monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", budget)
+        self._assert_matches_unblocked(_random_density_measure(7, 256, seed=budget))
+
+    def test_peak_memory_is_one_block(self):
+        # The whole 128 x 65536 complex matrix is 128 MiB; one block is 8 MiB.
+        measure = _random_density_measure(128, 65536, seed=5)
+        tracemalloc.start()
+        try:
+            hm.verify_membership(measure, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestVerifyMembership:

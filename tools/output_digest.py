@@ -11,6 +11,11 @@ measure path, so the digests of two checkouts compare with ``diff``:
     python3 tools/output_digest.py . > after.txt
     python3 tools/output_digest.py ../parent > before.txt
     diff before.txt after.txt
+    python3 tools/output_digest.py --compare before.txt after.txt
+
+``--compare`` lists the calls whose stdout or output sha256 moved (a new
+summation order moves last digits) and exits 1 when any call's exit code,
+stderr or warnings differ, or when the two digests do not hold the same calls.
 
 The program is imported from ``<checkout>/src`` and the job generator from
 ``<checkout>/perfbench``; neither directory is written to.
@@ -84,10 +89,41 @@ def digest(checkout: Path, work: Path):
                     yield record
 
 
+def compare(before_path: str, after_path: str) -> int:
+    """Print the calls whose outcome or output moved; 1 if an exit code, stderr or warning did."""
+    before, after = (
+        [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+        for path in (before_path, after_path)
+    )
+    calls = [(r["job"], r["command"]) for r in before]
+    if calls != [(r["job"], r["command"]) for r in after]:
+        print(f"the digests hold different calls ({len(before)} and {len(after)})")
+        return 1
+    failed = False
+    for old, new in zip(before, after):
+        changed = [key for key in ("code", "stderr", "warnings") if old[key] != new[key]]
+        moved = [key for key in ("stdout", "sha256") if old[key] != new[key]]
+        if changed:
+            failed = True
+            print(f"CHANGED {' '.join(changed)}: {old['job']} {old['command']}")
+        elif moved:
+            print(f"moved {' '.join(moved)}: {old['job']} {old['command']}")
+    verdict = "FAIL" if failed else "same exit codes, stderr and warnings"
+    print(f"{len(before)} calls compared: {verdict}")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", help="repository checkout whose program is run")
+    parser.add_argument("checkout", nargs="?", help="repository checkout whose program is run")
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("BEFORE", "AFTER"), help="compare two digest files instead"
+    )
     args = parser.parse_args(argv)
+    if (args.checkout is None) == (args.compare is None):
+        parser.error("give either a checkout or --compare BEFORE AFTER")
+    if args.compare:
+        return compare(*args.compare)
     checkout = Path(args.checkout).resolve()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         work = Path(tmp)
