@@ -179,7 +179,7 @@ class TestExactPhiOracle:
 
 
 def _random_density_measure(n, grid_size, seed):
-    """n random nodes with a positive random density: any sampled measure takes the phi pass."""
+    """n random nodes and a positive random density; the phi pass needs no parameter."""
     rng = np.random.default_rng(seed)
     z = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
     return hm.GeneratedMeasure(
