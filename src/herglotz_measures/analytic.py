@@ -42,9 +42,11 @@ UNIMODULAR_SNAP_TOL = 1e-12
 #: Default residual tolerance of the special system (matches quadrature accuracy).
 SPECIAL_SYSTEM_TOL = 1e-8
 
-#: Largest node count.  Past the bounded phi pass, memory grows like n^2 (the Gram
-#: matrices, their JSON, the special system): at n = 1024 generate peaks below 1 GB of
-#: RSS even at N = 2**20, and n = 4096 would need about 10 GB.
+#: Largest node count.  Past the bounded phi pass and the streamed writer, memory grows
+#: like n^2 (the Gram matrices in the measure document, the special system).  At
+#: n = 1024 generate peaks at 99 MB of RSS (N = 4096) and 147 MB (N = 2**20), and verify,
+#: which parses the whole 91 MB (119 MB) document, at 456 MB (650 MB); n = 4096 would
+#: need about 10 GB.
 MAX_NODES = 1024
 
 _DISC_SLACK = 1e-12

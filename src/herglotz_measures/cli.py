@@ -176,11 +176,13 @@ def run_generate(config: JobConfig) -> int:
 
 
 def run_verify(config: JobConfig) -> int:
-    doc = documents.read_document(config.measure_path)
     # A document's numbers are arbitrary input: a float overflow on them is an input error.
     with np.errstate(over="raise", invalid="raise"):
         try:
-            measure, _ = documents.measure_from_document(doc)
+            # No name keeps the parsed document, so its lists are freed before the phi pass.
+            measure, _ = documents.measure_from_document(
+                documents.read_document(config.measure_path)
+            )
             gram, phi = certify(measure, config.tolerance)
         except FloatingPointError as exc:
             raise SchemaError(f"measure document values leave the float range: {exc}") from exc

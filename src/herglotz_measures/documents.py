@@ -4,12 +4,21 @@ Documents are JSON written by the stdlib encoder: one top-level field per
 line in a fixed key order, floats as their shortest round-trip repr, and
 complex numbers as [re, im] pairs; repeated runs with the same inputs are
 byte-identical.  Sweep tables are CSV with 17 significant digits.
+
+A measure document keeps its large fields (the density samples and the Gram
+matrices) as arrays until it is written.  The writer validates every value
+first and then streams the file, encoding each array in blocks of rows of at
+most _ENCODE_BLOCK_ENTRIES numbers; the bytes are those of the stdlib
+encoder on the whole nested list.  The reader checks the density samples'
+types with C-level passes and their values with numpy, and walks the samples
+one by one only to name the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,24 +61,74 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+#: Numbers per encoded block of an array field: rows per block is
+#: max(1, _ENCODE_BLOCK_ENTRIES // numbers per row), so the Python lists and text of
+#: one block stay bounded for any grid size and node count.
+_ENCODE_BLOCK_ENTRIES = 1 << 13
+
+
+def _prepare(value, parts: list) -> None:
+    """Append ``value`` to ``parts`` as encoded text, or as an array checked to be finite."""
+    if isinstance(value, np.ndarray):
+        if not np.isfinite(value).all():
+            raise ValueError(f"cannot serialize non-finite values in a {value.shape} array")
+        parts.append(value)
+    elif isinstance(value, dict):
+        parts.append("{")
+        for k, (key, item) in enumerate(value.items()):
+            parts.append((", " if k else "") + json.dumps(str(key)) + ": ")
+            _prepare(item, parts)
+        parts.append("}")
+    else:
+        parts.append(json.dumps(value, allow_nan=False))
+
+
+def _array_text(array: np.ndarray):
+    """The stdlib encoding of ``array.tolist()``, in blocks of rows."""
+    rows = max(1, _ENCODE_BLOCK_ENTRIES // max(1, math.prod(array.shape[1:])))
+    yield "["
+    for start in range(0, len(array), rows):
+        yield (", " if start else "") + json.dumps(array[start : start + rows].tolist())[1:-1]
+    yield "]"
+
+
+def _document_parts(doc: dict) -> list:
+    """``doc`` as encoded text and finite arrays: one top-level field per line.
+
+    Raises ValueError for a value that cannot be written, so nothing is written then.
+    """
+    parts = ["{\n"]
+    for k, (key, value) in enumerate(doc.items()):
+        parts.append((",\n  " if k else "  ") + json.dumps(str(key)) + ": ")
+        _prepare(value, parts)
+    parts.append("\n}\n")
+    return parts
+
+
+def _text(parts: list):
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from _array_text(part)
+
+
 def dumps_document(doc: dict) -> str:
-    """One top-level field per line, each value in the stdlib JSON encoding."""
-    fields = ",\n".join(
-        f"  {json.dumps(str(key))}: {json.dumps(value, allow_nan=False)}"
-        for key, value in doc.items()
-    )
-    return "{\n" + fields + "\n}\n"
+    """The document's text, as write_document writes it."""
+    return "".join(_text(_document_parts(doc)))
 
 
-def _write_text(path, text: str, what: str) -> None:
+def _write_text(path, pieces, what: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
     except OSError as exc:
         raise SchemaError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def write_document(path, doc: dict) -> None:
-    _write_text(path, dumps_document(doc), "document")
+    """Stream ``doc`` to ``path``; every value is checked before the file is opened."""
+    _write_text(path, _text(_document_parts(doc)), "document")
 
 
 def read_document(path) -> dict:
@@ -178,8 +237,8 @@ def nodes_from_descriptor(data):
     return validate_nodes([_complex_from(p, "node") for p in data])
 
 
-def _matrix_block(matrix: np.ndarray) -> list:
-    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+def _matrix_block(matrix: np.ndarray) -> np.ndarray:
+    return np.stack((matrix.real, matrix.imag), axis=-1)
 
 
 def gram_report_block(report: GramReport) -> dict:
@@ -208,7 +267,7 @@ def measure_document(measure: GeneratedMeasure, gram_report: GramReport, mass: f
         "kind": measure.kind.value,
         "mass": float(mass),
         "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
-        "density": np.column_stack((measure.grid.angles, measure.density)).tolist(),
+        "density": np.column_stack((measure.grid.angles, measure.density)),
         "gram_report": gram_report_block(gram_report),
     }
 
@@ -224,6 +283,45 @@ _MEASURE_KEYS = {
     "density",
     "gram_report",
 }
+
+
+def _density_by_entry(samples: list, grid: CircleGrid) -> np.ndarray:
+    """The density values of the [theta, h] ``samples``, checked one entry at a time."""
+    density = np.empty(grid.size)
+    for j, pair in enumerate(samples):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"density entry {j} must be a [theta, h] pair")
+        theta = _float_from(pair[0], f"density angle {j}")
+        h = _float_from(pair[1], f"density value {j}")
+        if not abs(theta - grid.angles[j]) <= 1e-12:
+            raise SchemaError(f"density angle {j} = {theta} is off the uniform grid")
+        if not math.isfinite(h) or h < -DENSITY_TOL:
+            raise SchemaError(f"density value {j} = {h} is not a non-negative real")
+        density[j] = h
+    return density
+
+
+def _density_from(samples: list, grid: CircleGrid) -> np.ndarray:
+    """The density values of the [theta, h] ``samples``, accepted as _density_by_entry accepts them.
+
+    Types are checked first with C-level passes, because np.array(..., dtype=float) also
+    takes "1.0" and True; finiteness is checked before any comparison.  When a check
+    fails, _density_by_entry runs to name the first bad entry.
+    """
+    if (
+        set(map(type, samples)) == {list}
+        and set(map(len, samples)) == {2}
+        and set(map(type, chain.from_iterable(samples))) <= {float, int}
+    ):
+        try:
+            pairs = np.array(samples, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            pairs = None
+        if pairs is not None and np.isfinite(pairs).all():
+            theta, h = pairs.T
+            if np.all(np.abs(theta - grid.angles) <= 1e-12) and np.all(h >= -DENSITY_TOL):
+                return h.copy()
+    return _density_by_entry(samples, grid)
 
 
 def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
@@ -255,17 +353,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     if doc["kind"] not in kinds:
         raise SchemaError(f"unknown measure kind {doc['kind']!r}")
 
-    density = np.empty(grid.size)
-    for j, pair in enumerate(samples):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"density entry {j} must be a [theta, h] pair")
-        theta = _float_from(pair[0], f"density angle {j}")
-        h = _float_from(pair[1], f"density value {j}")
-        if not abs(theta - grid.angles[j]) <= 1e-12:
-            raise SchemaError(f"density angle {j} = {theta} is off the uniform grid")
-        if not math.isfinite(h) or h < -DENSITY_TOL:
-            raise SchemaError(f"density value {j} = {h} is not a non-negative real")
-        density[j] = h
+    density = _density_from(samples, grid)
 
     if not isinstance(doc["atoms"], list):
         raise SchemaError("atoms must be a list of [angle, weight] pairs")
@@ -338,4 +426,4 @@ def bounds_document(
 
 def write_sweep_csv(path, rows) -> None:
     lines = [SWEEP_CSV_HEADER] + [",".join(_fmt_float(x) for x in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n", "sweep table")
+    _write_text(path, ["\n".join(lines) + "\n"], "sweep table")

@@ -13,7 +13,10 @@ holds pointwise, so it holds exactly for grid samples and atoms too: the
 Gram matrix is (phi(z_k) + conj(phi(z_l)))/2 times the target, and both
 certificates come from the n values phi(z_k), one O(nN) pass.  That pass
 holds at most one block of the n x N Cauchy matrix, _PHI_BLOCK_ELEMENTS
-entries, so its memory is bounded for any n and N.  The direct route, one
+entries (2 MiB), so its memory is bounded for any n and N.  A sweep whose
+whole matrix fits in _SWEEP_REUSE_ELEMENTS (8 MiB) builds it once and every
+row sums the same blocks as slices of it, so each row equals what generate
+computes, bit for bit.  The direct route, one
 quadrature of 1/((t - z') conj(t - z'')) per pair, lives only in the tests,
 as their Gram oracle.
 
@@ -51,10 +54,15 @@ from .measure import (
     solve_atoms,
 )
 
-#: Entries of one block of the phi pass's Cauchy matrix (complex, so 8 MiB).  Memory
-#: stays bounded for any n and N; at n = 128 smaller blocks ran slower, and at N = 65536
-#: the whole matrix took twice as long.
-_PHI_BLOCK_ELEMENTS = 1 << 19
+#: Entries of one block of the phi pass's Cauchy matrix (complex, so 2 MiB).  Memory
+#: stays bounded for any n and N, and verify's block fits in the heap its document parse
+#: left behind instead of raising the peak RSS above it.  Against 2**19 entries the pass
+#: is 6-10% faster at n <= 32 and N >= 65536 and 16-29% slower at n = 128 (2.5 -> 2.9 ms
+#: at N = 4096, 40 -> 49 ms at N = 65536).
+_PHI_BLOCK_ELEMENTS = 1 << 17
+#: Largest whole n x N Cauchy matrix (8 MiB) that sweep_reports builds once and slices
+#: into the phi pass's blocks for every row; above it each row builds its own blocks.
+_SWEEP_REUSE_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,24 +106,27 @@ def _cauchy_matrix(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = N
 def _node_phi(measure: GeneratedMeasure, grid_cauchy: np.ndarray | None = None) -> np.ndarray:
     """phi(z_k) at every node in one pass: mass + 2 z_k * integral of 1/(t - z_k).
 
-    The density part is summed over blocks of grid columns, one reused block of at
-    most _PHI_BLOCK_ELEMENTS entries.  ``grid_cauchy`` is the _cauchy_matrix of the
-    grid at the nodes, when a caller already has it.
+    The density part is summed over column blocks of at most _PHI_BLOCK_ELEMENTS entries,
+    in the same blocks whatever their source: slices of ``grid_cauchy``, the whole
+    _cauchy_matrix of the grid at the nodes when a caller already has it, or else one
+    reused buffer filled block by block.
     """
     z = measure.nodes.as_array()
     sums = np.zeros(z.size, dtype=complex)
     if np.any(measure.density):
         weights = measure.density / measure.grid.size
-        if grid_cauchy is not None:
-            sums += grid_cauchy @ weights
-        else:
-            points = measure.grid.points
-            width = min(points.size, max(1, _PHI_BLOCK_ELEMENTS // z.size))
+        points = measure.grid.points
+        width = min(points.size, max(1, _PHI_BLOCK_ELEMENTS // z.size))
+        if grid_cauchy is None:
             block = np.empty((z.size, width), dtype=complex)
-            for start in range(0, points.size, width):
-                chunk = points[start : start + width]
+        for start in range(0, points.size, width):
+            columns = slice(start, start + width)
+            if grid_cauchy is None:
+                chunk = points[columns]
                 cauchy = _cauchy_matrix(chunk, z, block[:, : chunk.size])
-                sums += cauchy @ weights[start : start + width]
+            else:
+                cauchy = grid_cauchy[:, columns]
+            sums += cauchy @ weights[columns]
     if measure.atoms:
         locations, weights = measure.atom_arrays()
         sums += _cauchy_matrix(locations, z) @ weights
@@ -210,9 +221,9 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     b0 = blaschke_eval(nodes, 0j)
     blaschke = blaschke_values(grid.points, z)
     target = gram_target(nodes)
-    # Reused across the rows only when it is one block; above that each row takes the blocked pass.
-    one_block = z.size * grid.size <= _PHI_BLOCK_ELEMENTS
-    cauchy = _cauchy_matrix(grid.points, z) if one_block else None
+    # Built once for every row only up to the reuse limit; above that each row builds its blocks.
+    reuse = z.size * grid.size <= _SWEEP_REUSE_ELEMENTS
+    cauchy = _cauchy_matrix(grid.points, z) if reuse else None
     ring = None
     # Parameters are made one row at a time: a list of them all left the small-object
     # heap fragmented and raised peak RSS.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,9 +406,17 @@ class TestSweep:
         self._assert_rows_equal_per_gamma_build_and_verify(tmp_path, capsys)
 
     def test_blocked_rows_equal_per_gamma_build_and_verify(self, tmp_path, capsys, monkeypatch):
-        # Every n * N of these sweeps (n <= 8, N >= 256) is above this budget, so each row
-        # takes the blocked phi pass, in ragged blocks of 255 // n columns, as generate does.
+        # Every n * N of these sweeps (n <= 8, N >= 256) is above this budget and this reuse
+        # limit, so each row builds its own ragged blocks of 255 // n columns, as generate does.
         monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", 255)
+        monkeypatch.setattr(verify, "_SWEEP_REUSE_ELEMENTS", 255)
+        self._assert_rows_equal_per_gamma_build_and_verify(tmp_path, capsys)
+
+    def test_reused_blocks_equal_per_gamma_build_and_verify(self, tmp_path, capsys, monkeypatch):
+        # Every n * N here (at most 8 * 4096) is above this budget but within this reuse
+        # limit, so each row sums ragged column slices of the one grid matrix of its sweep.
+        monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", 255)
+        monkeypatch.setattr(verify, "_SWEEP_REUSE_ELEMENTS", 8 * 4096)
         self._assert_rows_equal_per_gamma_build_and_verify(tmp_path, capsys)
 
     def test_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
@@ -477,6 +486,11 @@ NON_FINITE_INPUTS = {
     # Integers beyond the float range: float() raises OverflowError on them.
     "huge-int-node": lambda p: _generate_argv(p, nodes=[[10**330, 0]]),
     "huge-int-density-value": lambda p: _edited_measure_argv(p, {("density", 4, 1): 10**400}),
+    # json.loads reads the NaN and Infinity literals that json.dumps writes.
+    "nan-density-value": lambda p: _edited_measure_argv(p, {("density", 4, 1): NAN}),
+    "nan-density-angle": lambda p: _edited_measure_argv(p, {("density", 4, 0): NAN}),
+    "inf-density-value": lambda p: _edited_measure_argv(p, {("density", 4, 1): math.inf}),
+    "inf-density-angle": lambda p: _edited_measure_argv(p, {("density", 4, 0): -math.inf}),
     "huge-int-mass": lambda p: _edited_measure_argv(p, {("mass",): 10**400}),
     # Finite samples whose sum overflows in the mass.
     "huge-density-values": lambda p: _edited_measure_argv(
@@ -584,8 +598,17 @@ class TestNodeOnlyWorkReuse:
         assert calls == {key: [2, 1] for key in calls}
         assert blocks == []  # the rows reuse the one-block matrix
 
+    def test_sweep_below_the_reuse_limit_builds_its_matrix_once(self, tmp_path, monkeypatch):
+        # n * N = 1024 and 512 are above one block but within the reuse limit: each sweep
+        # call builds the grid matrix once, and every row sums slices of it.
+        monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", 500)
+        calls, blocks = self._node_only_calls(tmp_path, monkeypatch)
+        assert calls == {key: [2, 1] for key in calls}
+        assert blocks == []
+
     def test_sweep_above_the_block_budget_builds_no_grid_matrix(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", 500)  # below n * N = 1024 and 512
+        monkeypatch.setattr(verify, "_SWEEP_REUSE_ELEMENTS", 500)
         calls, blocks = self._node_only_calls(tmp_path, monkeypatch)
         assert calls == {key: ([] if key == "cauchy" else [2, 1]) for key in calls}
         # Each of the 16 density rows per call sums its own blocks: 250 + 250 + 12 columns
@@ -634,3 +657,36 @@ class TestNodeOnlyWorkReuse:
         first = (tmp_path / "report.doc").read_bytes()
         assert main(["verify", "--config", config]) == 0
         assert (tmp_path / "report.doc").read_bytes() == first
+
+
+class TestRoundtripMemory:
+    """What one generate and one verify call hold at once at n = 128, N = 65536.
+
+    The document is 4.1 MB of JSON.  generate streams it in blocks instead of building
+    its nested lists and text whole; verify frees the parsed lists before the phi pass,
+    whose blocks are 2 MiB.
+    """
+
+    @staticmethod
+    def _traced_peak(argv) -> float:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_generate_and_verify_peaks(self, tmp_path):
+        rng = np.random.default_rng(128)
+        radius, angle = 0.6 * np.sqrt(rng.uniform(0, 1, 128)), rng.uniform(0, TWO_PI, 128)
+        nodes = [[z.real, z.imag] for z in radius * np.exp(1j * angle)]
+        parameter = {"type": "constant", "gamma": [0.3, -0.2]}
+        generate = generate_config(tmp_path, nodes, parameter, grid_size=65536)
+        payload = {
+            "command": "verify",
+            "measure_path": str(tmp_path / "measure.doc"),
+            "output_path": str(tmp_path / "report.doc"),
+        }
+        verify_config = write_config(tmp_path / "verify.json", payload)
+        assert self._traced_peak(["generate", "--config", generate]) < 16
+        assert self._traced_peak(["verify", "--config", verify_config]) < 21

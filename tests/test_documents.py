@@ -8,13 +8,38 @@ import pytest
 
 import herglotz_measures as hm
 from herglotz_measures import documents
+from conftest import TWO_PI
 
 
-def _measure_doc(nodes_list, param, grid_size=512, tolerance=1e-8):
+def _array_doc(nodes_list, param, grid_size=512, tolerance=1e-8):
+    """A measure document as generate writes it: its density and Gram matrices are arrays."""
     nodes = hm.validate_nodes(nodes_list)
     measure = hm.build_measure(nodes, param, grid_size)
     report = hm.verify_membership(measure, tolerance)
     return documents.measure_document(measure, report, hm.total_mass(measure)), measure
+
+
+def _measure_doc(nodes_list, param, grid_size=512, tolerance=1e-8):
+    """A measure document as verify reads it: rendered, then parsed into lists."""
+    doc, measure = _array_doc(nodes_list, param, grid_size, tolerance)
+    return json.loads(documents.dumps_document(doc)), measure
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value
+
+
+def _stdlib_text(doc):
+    """One top-level field per line, each value encoded whole by the stdlib encoder."""
+    fields = ",\n".join(
+        f"  {json.dumps(str(key))}: {json.dumps(_as_lists(value), allow_nan=False)}"
+        for key, value in doc.items()
+    )
+    return "{\n" + fields + "\n}\n"
 
 
 class TestRendering:
@@ -61,10 +86,51 @@ class TestRendering:
         ids=["absolutely-continuous", "atomic"],
     )
     def test_parsed_document_renders_to_same_bytes(self, param, kind):
-        doc, _ = _measure_doc([0.5, 0.2 + 0.4j], param, grid_size=512)
+        doc, _ = _array_doc([0.5, 0.2 + 0.4j], param, grid_size=512)
         assert doc["kind"] == kind
         text = documents.dumps_document(doc)
+        assert text == _stdlib_text(doc)
         assert documents.dumps_document(json.loads(text)) == text
+
+    @pytest.mark.parametrize("grid_size", [256, 65536])
+    @pytest.mark.parametrize("n", [1, 7, 128])
+    def test_array_fields_render_as_their_lists(self, tmp_path, n, grid_size):
+        rng = np.random.default_rng(n + grid_size)
+        nodes = 0.6 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, TWO_PI, n))
+        # gamma = 0 is generated exactly for any n and N; the writer does not check the
+        # values, so random ones and float extremes stand in for the density.
+        doc, _ = _array_doc(nodes, hm.Constant(0.0), grid_size)
+        assert isinstance(doc["density"], np.ndarray)
+        doc["density"][:, 1] = rng.uniform(0.0, 3.0, grid_size)
+        doc["density"][:3, 1] = [-0.0, 5e-324, 1.7976931348623157e308]
+        text = _stdlib_text(doc)
+        assert documents.dumps_document(doc) == text
+        documents.write_document(tmp_path / "measure.doc", doc)
+        assert (tmp_path / "measure.doc").read_text(encoding="utf-8") == text
+        assert documents.dumps_document(json.loads(text)) == text
+
+    def test_blocks_below_one_row(self, monkeypatch):
+        # 7 numbers per block: density blocks of 3 rows, the last one ragged (256 = 85 * 3 + 1),
+        # and Gram blocks of one row, each row of 7 nodes holding 14 numbers.
+        monkeypatch.setattr(documents, "_ENCODE_BLOCK_ENTRIES", 7)
+        nodes = [0.5, -0.3j, 0.1, 0.2 + 0.2j, -0.6, 0.4j, 0.3 - 0.3j]
+        doc, _ = _array_doc(nodes, hm.Constant(0.5), 256)
+        assert documents.dumps_document(doc) == _stdlib_text(doc)
+
+    @pytest.mark.parametrize("field", ["density", "target"])
+    def test_non_finite_array_writes_nothing(self, tmp_path, field):
+        doc, _ = _array_doc([0.5, 0.2 + 0.4j], hm.Constant(0.3), 256)
+        array = doc["density"] if field == "density" else doc["gram_report"]["target"]
+        array[1, 1] = math.nan
+        with pytest.raises(ValueError):
+            documents.dumps_document(doc)
+        fresh, kept = tmp_path / "fresh.doc", tmp_path / "kept.doc"
+        kept.write_text("kept", encoding="utf-8")
+        for path in (fresh, kept):
+            with pytest.raises(ValueError):
+                documents.write_document(path, doc)
+        assert not fresh.exists()
+        assert kept.read_text(encoding="utf-8") == "kept"
 
     def test_one_line_per_top_level_field(self):
         doc, _ = _measure_doc([0.5, 0.2 + 0.4j], hm.Constant(0.3))
@@ -112,6 +178,31 @@ class TestParameterCodec:
     def test_bad_pair_rejected(self):
         with pytest.raises(hm.SchemaError):
             documents.parameter_from_descriptor({"type": "constant", "gamma": [0.5]})
+
+
+#: A bad entry 5 of a density sample list, made from the good [theta, h], and the error it gives.
+BAD_DENSITY_ENTRIES = {
+    "bool-value": (lambda theta, h: [theta, True], "density value 5 must be a number, got True"),
+    "string-angle": (lambda theta, h: ["0.06", h], "density angle 5 must be a number, got '0.06'"),
+    "none-value": (lambda theta, h: [theta, None], "density value 5 must be a number, got None"),
+    "three-numbers": (
+        lambda theta, h: [theta, h, 0.0],
+        "density entry 5 must be a [theta, h] pair",
+    ),
+    "mapping": (
+        lambda theta, h: {"theta": theta, "h": h},
+        "density entry 5 must be a [theta, h] pair",
+    ),
+    "huge-int-value": (
+        lambda theta, h: [theta, 10**400],
+        "density value 5 is beyond the float range",
+    ),
+    "negative-value": (
+        lambda theta, h: [theta, -1e-9],
+        "density value 5 = -1e-09 is not a non-negative real",
+    ),
+    "off-grid-angle": (lambda theta, h: [0.5, h], "density angle 5 = 0.5 is off the uniform grid"),
+}
 
 
 class TestMeasureDocument:
@@ -175,6 +266,32 @@ class TestMeasureDocument:
         doc["density"][7] = [doc["density"][7][0] + 0.1, doc["density"][7][1]]
         with pytest.raises(hm.SchemaError):
             documents.measure_from_document(doc)
+
+    @pytest.mark.parametrize("case", list(BAD_DENSITY_ENTRIES))
+    def test_bad_density_entry_named(self, case):
+        make_entry, message = BAD_DENSITY_ENTRIES[case]
+        doc, _ = _measure_doc([0.5], hm.Constant(0.5))
+        doc["density"][5] = make_entry(*doc["density"][5])
+        with pytest.raises(hm.SchemaError) as info:
+            documents.measure_from_document(doc)
+        assert str(info.value) == message
+
+    def test_first_bad_density_entry_named(self):
+        # The bool at entry 9 fails the type pass, yet the report names the earlier entry.
+        doc, _ = _measure_doc([0.5], hm.Constant(0.5))
+        doc["density"][3][0] += 0.1
+        doc["density"][9][1] = True
+        with pytest.raises(hm.SchemaError, match=r"^density angle 3 = .* is off the uniform grid$"):
+            documents.measure_from_document(doc)
+
+    def test_integer_density_values_read_as_floats(self):
+        doc, measure = _measure_doc([0.5], hm.Constant(0.0))
+        assert measure.density[4] == 1.0
+        doc["density"][4][1] = 1
+        doc["density"][0][0] = 0
+        rebuilt, _ = documents.measure_from_document(doc)
+        assert rebuilt.density.dtype == float
+        assert np.array_equal(rebuilt.density, measure.density)
 
     def test_negative_atom_weight_rejected(self):
         doc, _ = _measure_doc([0.5], hm.Constant(1.0))

@@ -218,10 +218,14 @@ class TestBlockedPhiPass:
         # n = 7: a budget below n still takes one column per block; 700 takes 100 columns,
         # so the last of the three blocks of N = 256 is 56 columns wide.
         monkeypatch.setattr(verify, "_PHI_BLOCK_ELEMENTS", budget)
-        self._assert_matches_unblocked(_random_density_measure(7, 256, seed=budget))
+        measure = _random_density_measure(7, 256, seed=budget)
+        self._assert_matches_unblocked(measure)
+        # Slices of a prebuilt grid matrix are the same blocks, summed bit for bit alike.
+        grid_cauchy = verify._cauchy_matrix(measure.grid.points, measure.nodes.as_array())
+        assert np.array_equal(verify._node_phi(measure, grid_cauchy), verify._node_phi(measure))
 
     def test_peak_memory_is_one_block(self):
-        # The whole 128 x 65536 complex matrix is 128 MiB; one block is 8 MiB.
+        # The whole 128 x 65536 complex matrix is 128 MiB; one block is 2 MiB.
         measure = _random_density_measure(128, 65536, seed=5)
         tracemalloc.start()
         try:
