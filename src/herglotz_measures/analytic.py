@@ -251,8 +251,15 @@ def herglotz_samples(s) -> tuple[np.ndarray, np.ndarray]:
     """
     gap = np.abs(1.0 - s)
     flagged = gap < CAYLEY_SINGULARITY_THRESHOLD
-    h = (1.0 - np.abs(s) ** 2) / np.where(flagged, 1.0, gap) ** 2
-    return np.where(flagged, 0.0, h), flagged
+    if flagged.any() or np.ndim(s) == 0:
+        h = (1.0 - np.abs(s) ** 2) / np.where(flagged, 1.0, gap) ** 2
+        return np.where(flagged, 0.0, h), flagged
+    # Nothing flagged in an array: the same operations, in place and without the masks,
+    # allocate one float array besides gap instead of six (a sweep's row blocks with six
+    # made glibc trim and re-fault the heap on every block).
+    h = np.abs(s)
+    np.subtract(1.0, np.square(h, out=h), out=h)
+    return np.divide(h, np.square(gap, out=gap), out=h), flagged
 
 
 def herglotz_from_s(s):

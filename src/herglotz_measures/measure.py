@@ -153,17 +153,17 @@ class GeneratedMeasure:
 
 
 def boundary_density(
-    nodes: NodeSet, param: SchurParameter, grid: CircleGrid, blaschke: np.ndarray | None = None
+    nodes: NodeSet, param: SchurParameter, grid: CircleGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Densities h(t_j) = (1-|s|^2)/|1-s|^2 plus a mask of near-singular points.
 
     Flagged entries (|1 - s| below the Cayley singularity threshold) are set
-    to zero so that quadrature automatically excludes them.  ``blaschke`` is B
-    of the nodes on the grid, when a caller already has it.
+    to zero so that quadrature automatically excludes them.
     """
-    if blaschke is None:
-        blaschke = blaschke_values(grid.points, nodes.points)
-    return herglotz_samples(blaschke * param.values(grid.points))
+    blaschke = blaschke_values(grid.points, nodes.points)
+    # s = B * omega with B first: on an owned temporary of 256 KiB or more the operator
+    # would work in place as omega * B, which differs in the last bits.
+    return herglotz_samples(np.multiply(blaschke, param.values(grid.points)))
 
 
 def _lift_offset(gamma: complex, zeros: np.ndarray) -> float:
@@ -277,33 +277,36 @@ def assemble_measure(
     param: SchurParameter,
     grid: CircleGrid,
     atoms: tuple[Atom, ...] = (),
-    blaschke: np.ndarray | None = None,
 ) -> GeneratedMeasure:
     """The measure of the parameter on the grid: the given atoms if it is inner, else its density.
 
     Raises UnsupportedMixedCase when the density of a non-inner parameter comes
     within the singularity threshold of s = 1, and ParameterNotCertified when a
-    density sample is negative.  The mass is not checked here.  ``blaschke`` is
-    passed on to boundary_density.
+    density sample is negative (see check_density).  The mass is not checked here.
     """
     if param.is_inner:
         density, kind = np.zeros(grid.size), MeasureKind.PURELY_ATOMIC
     else:
-        density, flagged = boundary_density(nodes, param, grid, blaschke)
-        if flagged.any():
-            raise UnsupportedMixedCase(
-                f"{int(flagged.sum())} boundary points of a non-inner parameter "
-                "came within the singularity threshold of s = 1"
-            )
-        low = int(np.argmin(density))
-        if density[low] < -DENSITY_TOL:
-            raise ParameterNotCertified(
-                f"density sample {low} = {density[low]} < 0: |omega| > 1 there, not Schur-class"
-            )
+        density, flagged = boundary_density(nodes, param, grid)
+        check_density(density, int(flagged.sum()), int(np.argmin(density)))
         kind = MeasureKind.ABSOLUTELY_CONTINUOUS
     return GeneratedMeasure(
         nodes=nodes, param=param, grid=grid, density=density, atoms=atoms, kind=kind
     )
+
+
+def check_density(density: np.ndarray, flagged: int, low: int) -> None:
+    """Raise unless a non-inner parameter's density has no ``flagged`` samples (see
+    herglotz_samples) and its least sample, at index ``low``, is not negative."""
+    if flagged:
+        raise UnsupportedMixedCase(
+            f"{flagged} boundary points of a non-inner parameter "
+            "came within the singularity threshold of s = 1"
+        )
+    if density[low] < -DENSITY_TOL:
+        raise ParameterNotCertified(
+            f"density sample {low} = {density[low]} < 0: |omega| > 1 there, not Schur-class"
+        )
 
 
 def build_measure(
@@ -325,13 +328,12 @@ def build_measure(
 def total_mass(measure: GeneratedMeasure) -> float:
     """Total mass by quadrature, cross-checked against the Herglotz value at 0."""
     if measure.param is not None:
-        check_mass(measure, herglotz_eval(measure.nodes, measure.param, 0j))
+        check_mass(measure.mass, herglotz_eval(measure.nodes, measure.param, 0j))
     return measure.mass
 
 
-def check_mass(measure: GeneratedMeasure, expected: float) -> None:
+def check_mass(mass: float, expected: float) -> None:
     """Raise MassConsistencyFailure unless the quadrature mass matches h(0) = expected."""
-    mass = measure.mass
     if abs(mass - expected) > MASS_CONSISTENCY_TOL:
         raise MassConsistencyFailure(
             f"quadrature mass {mass} vs h(0) = {expected} "

@@ -419,7 +419,25 @@ class TestSweep:
         monkeypatch.setattr(verify, "_SWEEP_REUSE_ELEMENTS", 8 * 4096)
         self._assert_rows_equal_per_gamma_build_and_verify(tmp_path, capsys)
 
-    def test_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid_size", [4096, 16384, 65536])
+    @pytest.mark.parametrize("block_rows", [None, 1, 3], ids=["default", "one-row", "three-row"])
+    def test_row_blocks_equal_per_gamma_build_and_verify(
+        self, tmp_path, capsys, monkeypatch, grid_size, block_rows
+    ):
+        # Steps (4, 8) give 17 contractive rows, then a ring of 8: by default blocks of 4 at
+        # N = 4096 and of one row above; three-row blocks end with a ragged block of 2.  From
+        # N = 16384 on, omega * B differs from B * omega in the last bits of some of these rows.
+        if block_rows is not None:
+            monkeypatch.setattr(verify, "_SWEEP_BLOCK_ELEMENTS", block_rows * grid_size)
+        nodes = hm.validate_nodes([0.5 + 0.1j, -0.3 + 0.6j])
+        code, err, (rows, expected_err) = self._sweep_and_reference(
+            tmp_path, capsys, nodes, (4, 8), grid_size
+        )
+        assert (code, err, expected_err) == (0, "", "")
+        assert self._rows(tmp_path) == rows
+
+    def _assert_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
+        rows_per_block = verify._SWEEP_BLOCK_ELEMENTS // 4096
         rng = np.random.default_rng(0)
         radius, angle = 0.9 * np.sqrt(rng.uniform(0, 1, 8)), rng.uniform(0, TWO_PI, 8)
         nodes = hm.validate_nodes(radius * np.exp(1j * angle))
@@ -430,6 +448,16 @@ class TestSweep:
         assert err == expected_err
         assert err.startswith("error: quadrature mass")
         assert len(rows) == 1090  # the rows before the first failing gamma
+        # The failing row is inside its block: rows before and after it share its arrays.
+        assert 0 < len(rows) % rows_per_block < rows_per_block - 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
+        self._assert_failing_sweep_reports_first_failing_gamma(tmp_path, capsys)
+
+    def test_failure_inside_a_three_row_block(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "_SWEEP_BLOCK_ELEMENTS", 3 * 4096)
+        self._assert_failing_sweep_reports_first_failing_gamma(tmp_path, capsys)
 
 
 

@@ -54,6 +54,17 @@ class TestBackends:
         assert not flagged.any()
         assert np.max(np.abs(density - reference)) < 1e-12
 
+    def test_unflagged_density_is_the_masked_formula_bit_for_bit(self, backend, data):
+        # Without flagged samples the density is computed in place; a block of rows must
+        # still get exactly the masked formula's bits, and s must stay untouched.
+        s = np.stack([data["s"], 0.5j * data["s"]])
+        before = s.copy()
+        density, flagged = analytic.herglotz_samples(s)
+        reference = (1.0 - np.abs(s) ** 2) / np.where(flagged, 1.0, np.abs(1.0 - s)) ** 2
+        assert not flagged.any()
+        assert density.tobytes() == reference.tobytes()
+        assert s.tobytes() == before.tobytes()
+
     def test_density_flags_near_singular_points(self, backend):
         s = np.array([1.0 + 1e-12j, 0.5 + 0j], dtype=complex)
         density, flagged = analytic.herglotz_samples(s)

@@ -2,11 +2,12 @@
 """Digest of every benchmark call's output, to show that a change keeps outputs identical.
 
 Runs every ``perfbench/jobs.make_jobs`` config of a checkout (all three
-workloads, seed 1, variants 0-2: 210 calls) through ``herglotz_measures.cli.main``
-in one process, and prints one JSON line per call: job, command, exit code,
-stdout, stderr, warnings and the sha256 of the output file.  The temporary
-work directory is printed as ``<work>``, because verify reports embed the
-measure path, so the digests of two checkouts compare with ``diff``:
+workloads, seed 1, variants 0 to K-1: 70 calls per variant, so the default
+``--variants 3`` is 210 calls) through ``herglotz_measures.cli.main`` in one
+process, and prints one JSON line per call: job, command, exit code, stdout,
+stderr, warnings and the sha256 of the output file.  The temporary work
+directory is printed as ``<work>``, because verify reports embed the measure
+path, so the digests of two checkouts compare with ``diff``:
 
     python3 tools/output_digest.py . > after.txt
     python3 tools/output_digest.py ../parent > before.txt
@@ -40,7 +41,7 @@ import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 SEED = 1
-VARIANTS = (0, 1, 2)
+DEFAULT_VARIANTS = 3
 WORKLOADS = ("roundtrip", "atomic", "sweep")
 WORK_TOKEN = "<work>"
 
@@ -69,8 +70,8 @@ def _run_call(cli, command: str, config_path: str) -> dict:
     }
 
 
-def digest(checkout: Path, work: Path):
-    """Yield one record per call of every benchmark config of ``checkout``."""
+def digest(checkout: Path, work: Path, variants: int = DEFAULT_VARIANTS):
+    """Yield one record per call of every benchmark config of ``checkout``, variants 0 to K-1."""
     sys.dont_write_bytecode = True  # the checkout is only read
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import jobs
@@ -80,7 +81,7 @@ def digest(checkout: Path, work: Path):
         raise SystemExit(f"imported the program from {cli.__file__}, not from {checkout}")
 
     for workload in WORKLOADS:
-        for variant in VARIANTS:
+        for variant in range(variants):
             for job in jobs.make_jobs(workload, SEED, work / workload, variant):
                 for call in job.calls:
                     record = {"job": f"{workload}/{job.job_id}", "command": call.command}
@@ -117,6 +118,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", help="repository checkout whose program is run")
     parser.add_argument(
+        "--variants",
+        type=int,
+        default=DEFAULT_VARIANTS,
+        metavar="K",
+        help=f"digest variants 0 to K-1 of every workload (default {DEFAULT_VARIANTS})",
+    )
+    parser.add_argument(
         "--compare", nargs=2, metavar=("BEFORE", "AFTER"), help="compare two digest files instead"
     )
     args = parser.parse_args(argv)
@@ -124,10 +132,12 @@ def main(argv=None) -> int:
         parser.error("give either a checkout or --compare BEFORE AFTER")
     if args.compare:
         return compare(*args.compare)
+    if args.variants < 1:
+        parser.error("--variants must be at least 1")
     checkout = Path(args.checkout).resolve()
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         work = Path(tmp)
-        for record in digest(checkout, work):
+        for record in digest(checkout, work, args.variants):
             line = json.dumps(record, sort_keys=True).replace(str(work), WORK_TOKEN)
             print(line, flush=True)
     return 0
