@@ -244,32 +244,47 @@ def herglotz_eval(nodes: NodeSet, param: SchurParameter, z):
     return herglotz_from_s(s_eval(nodes, param, z))
 
 
-def herglotz_samples(s) -> tuple[np.ndarray, np.ndarray]:
+def herglotz_samples(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """h = (1-|s|^2)/|1-s|^2 on an array of s, and the mask where |1 - s| < CAYLEY_SINGULARITY_THRESHOLD.
 
     Masked entries of h are zero: so close to s = 1, h is not a density sample.
     """
     gap = np.abs(1.0 - s)
     flagged = gap < CAYLEY_SINGULARITY_THRESHOLD
-    if flagged.any() or np.ndim(s) == 0:
+    if flagged.any():
         h = (1.0 - np.abs(s) ** 2) / np.where(flagged, 1.0, gap) ** 2
         return np.where(flagged, 0.0, h), flagged
-    # Nothing flagged in an array: the same operations, in place and without the masks,
-    # allocate one float array besides gap instead of six (a sweep's row blocks with six
-    # made glibc trim and re-fault the heap on every block).
+    # Nothing flagged: the same operations, in place and without the masks, allocate one
+    # float array besides gap instead of six (a sweep's row blocks with six made glibc
+    # trim and re-fault the heap on every block).
     h = np.abs(s)
     np.subtract(1.0, np.square(h, out=h), out=h)
     return np.divide(h, np.square(gap, out=gap), out=h), flagged
 
 
+def _singularity(gap) -> CayleySingularity:
+    return CayleySingularity(f"|1 - s| = {float(gap)} below threshold {CAYLEY_SINGULARITY_THRESHOLD}")
+
+
 def herglotz_from_s(s):
-    """h = (1-|s|^2)/|1-s|^2 from values of s; CayleySingularity where s is near 1."""
-    sa = np.asarray(s, dtype=complex)
-    h, flagged = herglotz_samples(sa)
-    if flagged.any():
-        gap = float(np.min(np.abs(1.0 - sa)))
-        raise CayleySingularity(f"|1 - s| = {gap} below threshold {CAYLEY_SINGULARITY_THRESHOLD}")
-    return float(h) if sa.ndim == 0 else h
+    """h = (1-|s|^2)/|1-s|^2 from values of s; CayleySingularity where s is near 1.
+
+    One value (a Python or numpy number) takes numpy scalar operations and returns a
+    float, bit for bit what the array formula gives on a 0-d array, without its array
+    overhead: gap * gap is how the array path squares, and gap ** 2 on a scalar is not.
+    """
+    if not isinstance(s, (complex, float, int)):
+        sa = np.asarray(s, dtype=complex)
+        if sa.ndim:
+            h, flagged = herglotz_samples(sa)
+            if flagged.any():
+                raise _singularity(np.min(np.abs(1.0 - sa)))
+            return h
+        s = complex(sa)
+    gap = np.abs(1.0 - s)
+    if gap < CAYLEY_SINGULARITY_THRESHOLD:
+        raise _singularity(gap)
+    return float((1.0 - np.abs(s) ** 2) / (gap * gap))
 
 
 @dataclass(frozen=True)

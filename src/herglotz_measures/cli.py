@@ -259,7 +259,16 @@ _HANDLERS = {
 }
 
 
+_COMMAND_HELP = {
+    "generate": "build a measure from nodes and a Schur parameter",
+    "verify": "re-check a measure document against the Gram and phi conditions",
+    "bounds": "sharp mass bounds and the two extremal measures",
+    "sweep": "mass and Gram error over a disc grid of constant parameters",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser: the command and the four options that every command shares."""
     parser = argparse.ArgumentParser(
         prog="herglotz-measures",
         description=(
@@ -267,18 +276,16 @@ def _build_parser() -> argparse.ArgumentParser:
             "the Lebesgue scalar product on spans of Cauchy fractions."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("generate", "build a measure from nodes and a Schur parameter"),
-        ("verify", "re-check a measure document against the Gram and phi conditions"),
-        ("bounds", "sharp mass bounds and the two extremal measures"),
-        ("sweep", "mass and Gram error over a disc grid of constant parameters"),
-    ):
-        cmd = sub.add_parser(name, help=descr)
-        cmd.add_argument("--config", required=True, help="job description file (JSON)")
-        cmd.add_argument("--output", help="output document path (overrides config)")
-        cmd.add_argument("--grid-size", type=int, dest="grid_size", help="quadrature grid size")
-        cmd.add_argument("--tolerance", type=float, help="certification tolerance")
+    parser.add_argument(
+        "command",
+        choices=tuple(_COMMAND_HELP),
+        metavar="command",
+        help="; ".join(f"{name}: {text}" for name, text in _COMMAND_HELP.items()),
+    )
+    parser.add_argument("--config", required=True, help="job description file (JSON)")
+    parser.add_argument("--output", help="output document path (overrides config)")
+    parser.add_argument("--grid-size", type=int, dest="grid_size", help="quadrature grid size")
+    parser.add_argument("--tolerance", type=float, help="certification tolerance")
     return parser
 
 

@@ -47,18 +47,13 @@ VERIFY_SCHEMA = "herglotz-verify-report/v1"
 BOUNDS_SCHEMA = "herglotz-bounds/v1"
 
 SWEEP_CSV_HEADER = "re_gamma,im_gamma,mass,max_gram_error"
+#: One sweep table row: "%.17g" spells a float as format(x, ".17g") does.
+_SWEEP_CSV_ROW = ",".join(["%.17g"] * len(SWEEP_CSV_HEADER.split(",")))
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-
-
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
-    return format(x, ".17g")
 
 
 #: Numbers per encoded block of an array field: rows per block is
@@ -324,11 +319,31 @@ def _density_from(samples: list, grid: CircleGrid) -> np.ndarray:
     return _density_by_entry(samples, grid)
 
 
+#: The kind that atoms (or none) and a density (nonzero or not) make.
+_KIND_OF_DATA = {
+    (False, True): MeasureKind.ABSOLUTELY_CONTINUOUS,
+    (True, False): MeasureKind.PURELY_ATOMIC,
+    (True, True): MeasureKind.MIXED,
+}
+
+
+def _check_kind(kind: str, atoms: int, density: bool) -> None:
+    """Raise SchemaError unless ``atoms`` atoms and a nonzero (or zero) density make ``kind``."""
+    implied = _KIND_OF_DATA.get((atoms > 0, density))
+    if implied is None or implied.value != kind:
+        raise SchemaError(
+            f"measure kind {kind!r} does not match its data: {atoms} atoms and a "
+            f"{'nonzero' if density else 'zero'} density"
+            + (f" make it {implied.value}" if implied else "")
+        )
+
+
 def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     """Rebuild a measure from its document for re-verification.
 
     The returned measure carries param=None: its data is whatever the
     document says, not what the recorded parameter would generate.  The
+    declared kind must be the one its atoms and density make, and the
     declared mass must match the mass of that data within MASS_CONSISTENCY_TOL.
     """
     _require_keys(doc, _MEASURE_KEYS, "measure document")
@@ -368,6 +383,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
         except ValueError as exc:
             raise SchemaError(f"atom {j} is invalid: {exc}") from exc
 
+    _check_kind(doc["kind"], len(atoms), bool(np.any(density)))
     measure = GeneratedMeasure(
         nodes=nodes,
         param=None,
@@ -425,5 +441,10 @@ def bounds_document(
 
 
 def write_sweep_csv(path, rows) -> None:
-    lines = [SWEEP_CSV_HEADER] + [",".join(_fmt_float(x) for x in row) for row in rows]
+    """Write the sweep table; every value is checked finite before the file is opened."""
+    rows = list(map(tuple, rows))
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if not math.isfinite(x))
+        raise ValueError(f"cannot serialize non-finite value {float(bad)}")
+    lines = [SWEEP_CSV_HEADER] + [_SWEEP_CSV_ROW % row for row in rows]
     _write_text(path, ["\n".join(lines) + "\n"], "sweep table")

@@ -147,9 +147,14 @@ class GeneratedMeasure:
         object.__setattr__(self, "mass", float(density.mean()) + sum(a.weight for a in atoms))
 
     def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        locs = np.asarray([a.location for a in self.atoms], dtype=complex)
-        weights = np.asarray([a.weight for a in self.atoms], dtype=float)
-        return locs, weights
+        return atom_arrays(self.atoms)
+
+
+def atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """Locations and weights of ``atoms`` as a complex and a float array."""
+    locs = np.asarray([a.location for a in atoms], dtype=complex)
+    weights = np.asarray([a.weight for a in atoms], dtype=float)
+    return locs, weights
 
 
 def boundary_density(
@@ -171,8 +176,8 @@ def _lift_offset(gamma: complex, zeros: np.ndarray) -> float:
     return cmath.phase(gamma) + sum(math.pi - cmath.phase(a) for a in zeros if a != 0)
 
 
-def _lift_sums(zeros: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_a Arg(1 - a exp(-i*theta)) and the Poisson sum Phi' at the angles theta.
+def _lift_sums(zeros: np.ndarray, theta: np.ndarray, slope: bool = True):
+    """sum_a Arg(1 - a exp(-i*theta)) and the Poisson sum Phi' (None unless ``slope``) at theta.
 
     On t = exp(i*theta) the factor (|a|/a)(a - t)/(1 - conj(a) t) has argument
     pi - arg(a) + theta + 2*Arg(1 - a exp(-i*theta)), and t for a = 0.  Each
@@ -185,12 +190,13 @@ def _lift_sums(zeros: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     rotation = np.exp(-1j * theta)
     args = np.zeros(theta.shape)
-    slope = np.zeros(theta.shape)
+    slopes = np.zeros(theta.shape) if slope else None
     for a in zeros:
         factor = 1.0 - a * rotation
         args += np.angle(factor)
-        slope += (1.0 - abs(a) ** 2) / np.abs(factor) ** 2
-    return args, slope
+        if slope:
+            slopes += (1.0 - abs(a) ** 2) / np.abs(factor) ** 2
+    return args, slopes
 
 
 def solve_atoms(gammas, zeros: np.ndarray) -> list:
@@ -208,7 +214,7 @@ def solve_atoms(gammas, zeros: np.ndarray) -> list:
 
     # Phi is exact and increasing, so a scan bracket holds its root at any scan resolution.
     scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
-    scan_args, _ = _lift_sums(zeros, scan)
+    scan_args, _ = _lift_sums(zeros, scan, slope=False)
     targets = np.empty((len(offsets), degree))
     idx = np.empty(targets.shape, dtype=np.intp)
     # Row by row, in the operation order of a one-row solve, so that every row ends

@@ -14,11 +14,14 @@ Gram matrix is (phi(z_k) + conj(phi(z_l)))/2 times the target, and both
 certificates come from the n values phi(z_k), one O(nN) pass.  That pass
 holds at most one block of the n x N Cauchy matrix, _PHI_BLOCK_ELEMENTS
 entries (2 MiB), so its memory is bounded for any n and N.  A sweep whose
-whole matrix fits in _SWEEP_REUSE_ELEMENTS (8 MiB) builds it once and every
-row sums the same blocks as slices of it.  Its contractive rows go in row
-blocks: s = B * gamma (B first, as in generate), the density, its mean and
-least sample, and the Gram errors are one array pass per block, while phi and
-h(0) stay per row, so each row equals what generate computes, bit for bit.
+whole matrix fits in _SWEEP_REUSE_ELEMENTS (8 MiB) builds it once; every row
+then takes phi as one product with it when one block covers it, or else sums
+the same blocks as slices of it.  Its contractive rows go in row blocks:
+s = B * gamma (B first, as in generate), the density, its mean and least
+sample, the weights and the Gram errors are one array pass per block, while
+phi and h(0) (a numpy scalar expression) stay per row, so each row equals what
+generate computes, bit for bit.  Its |gamma| = 1 rows take the mass and phi
+from their atoms alone, without a measure object or a density of zeros.
 The direct route, one quadrature of 1/((t - z') conj(t - z'')) per pair,
 lives only in the tests, as their Gram oracle.
 
@@ -51,7 +54,7 @@ from .measure import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     GeneratedMeasure,
-    assemble_measure,
+    atom_arrays,
     build_measure,
     check_density,
     check_grid_size,
@@ -113,12 +116,11 @@ def _cauchy_matrix(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = N
     return cauchy
 
 
-def _node_phi(measure: GeneratedMeasure, grid_cauchy: np.ndarray | None = None) -> np.ndarray:
+def _node_phi(measure: GeneratedMeasure) -> np.ndarray:
     """phi(z_k) at every node of the measure in one pass (see _phi)."""
     weights = measure.density / measure.grid.size if np.any(measure.density) else None
     atoms = measure.atom_arrays() if measure.atoms else None
-    z = measure.nodes.as_array()
-    return _phi(z, measure.mass, measure.grid.points, weights, atoms, grid_cauchy)
+    return _phi(measure.nodes.as_array(), measure.mass, measure.grid.points, weights, atoms)
 
 
 def _phi(z, mass, points, weights, atoms=None, grid_cauchy=None) -> np.ndarray:
@@ -131,7 +133,7 @@ def _phi(z, mass, points, weights, atoms=None, grid_cauchy=None) -> np.ndarray:
     """
     sums = np.zeros(z.size, dtype=complex)
     if weights is not None:
-        width = min(points.size, max(1, _PHI_BLOCK_ELEMENTS // z.size))
+        width = _phi_width(z.size, points.size)
         if grid_cauchy is None:
             block = np.empty((z.size, width), dtype=complex)
         for start in range(0, points.size, width):
@@ -146,6 +148,11 @@ def _phi(z, mass, points, weights, atoms=None, grid_cauchy=None) -> np.ndarray:
         locations, atom_weights = atoms
         sums += _cauchy_matrix(locations, z) @ atom_weights
     return mass + 2.0 * z * sums
+
+
+def _phi_width(n: int, size: int) -> int:
+    """Columns of one block of the phi pass: at most _PHI_BLOCK_ELEMENTS entries, at least one."""
+    return min(size, max(1, _PHI_BLOCK_ELEMENTS // n))
 
 
 def gram_target(nodes: NodeSet) -> np.ndarray:
@@ -229,9 +236,10 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
 
     ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what
     build_measure raises for the first failing gamma.  The node-only work runs once
-    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix),
-    and each run of consecutive |gamma| = 1 rows shares one atom solve.  Runs of
-    contractive rows go in row blocks of _SWEEP_BLOCK_ELEMENTS entries (see
+    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix).
+    Each run of consecutive |gamma| = 1 rows shares one atom solve, and each of its
+    rows takes its mass and phi from its atoms alone, with no density of zeros.  Runs
+    of contractive rows go in row blocks of _SWEEP_BLOCK_ELEMENTS entries (see
     _sweep_block), and a block's rows are yielded once all of them have passed their checks.
     """
     check_grid_size(grid_size)
@@ -244,8 +252,9 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     reuse = z.size * grid.size <= _SWEEP_REUSE_ELEMENTS
     cauchy = _cauchy_matrix(grid.points, z) if reuse else None
     rows = max(1, _SWEEP_BLOCK_ELEMENTS // max(grid.size, z.size**2))
-    # s of every block, in one buffer: a fresh 256 KiB one per block was trimmed from the
-    # heap and page-faulted back by the next, which cost a one-sweep process its gain.
+    # s of every block, then its weights, in one buffer: a fresh 256 KiB one per block was
+    # trimmed from the heap and page-faulted back by the next, which cost a one-sweep
+    # process its gain.
     work = np.empty((rows, grid.size), dtype=complex)
     # Parameters are made as the rows are reached: a list of them all left the small-object
     # heap fragmented and raised peak RSS.
@@ -256,29 +265,43 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
                     z, block, b0, blaschke, grid, target, cauchy, tolerance, work
                 )
             continue
-        params = list(run)
-        for param, atoms in zip(params, solve_atoms([p.gamma for p in params], z)):
+        ring = [p.gamma for p in run]
+        for gamma, atoms in zip(ring, solve_atoms(ring, z)):
             if isinstance(atoms, PhaseWindingMismatch):
                 raise atoms
-            measure = assemble_measure(nodes, param, grid, atoms)
-            check_mass(measure.mass, herglotz_from_s(b0 * param.gamma))
-            yield measure.mass, _gram_report(_node_phi(measure), target, tolerance)
+            # The mass and phi of assemble_measure's atomic measure, whose density is zero.
+            mass = sum(a.weight for a in atoms)
+            check_mass(mass, herglotz_from_s(b0 * gamma))
+            phi = _phi(z, mass, grid.points, None, atom_arrays(atoms))
+            yield mass, _gram_report(phi, target, tolerance)
 
 
 def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work):
     """(mass, GramReport) rows of consecutive contractive ``gammas``, bit for bit as generate's.
 
     The rows are checked in order, so the first failing gamma raises as build_measure
-    would.  phi stays one matrix-vector product per row and h(0) one scalar: a matrix
-    product's rows, and the array path of herglotz_from_s, differ in rare last bits.
+    would.  The weights density / N of the whole block are one division into ``work``,
+    once s is spent.  When one block of the phi pass covers the grid (every sweep with
+    n * N <= _PHI_BLOCK_ELEMENTS), a row's density part of phi is one product of the
+    grid's Cauchy matrix with its weights; otherwise the row goes through _phi's blocks.
+    phi stays one matrix-vector product per row and h(0) one scalar: a matrix product's
+    rows, and the array path of herglotz_from_s, differ in rare last bits.
     """
     s = np.multiply(blaschke[None, :], np.asarray(gammas)[:, None], out=work[: len(gammas)])
     density, flagged = herglotz_samples(s)
     masses = density.mean(axis=1).tolist()
     counts, lows = flagged.sum(axis=1).tolist(), density.argmin(axis=1).tolist()
+    # Complex weights in s's buffer, with zero imaginary parts: the values that a product
+    # with float weights would cast them to.
+    weights = np.divide(density, grid.size, out=s)
+    whole = cauchy is not None and _phi_width(z.size, grid.size) == grid.size
+    twice_z = 2.0 * z
     phi = np.empty((len(gammas), z.size), dtype=complex)
     for k, gamma in enumerate(gammas):
         check_density(density[k], counts[k], lows[k])
         check_mass(masses[k], herglotz_from_s(b0 * gamma))
-        phi[k] = _phi(z, masses[k], grid.points, density[k] / grid.size, grid_cauchy=cauchy)
+        if whole:  # _phi's one block, without its zero start and its wrapping
+            phi[k] = masses[k] + twice_z * (cauchy @ weights[k])
+        else:
+            phi[k] = _phi(z, masses[k], grid.points, weights[k], grid_cauchy=cauchy)
     return zip(masses, _gram_reports(phi, target, tolerance))

@@ -174,6 +174,16 @@ def oracle_gram(measure: hm.GeneratedMeasure) -> np.ndarray:
     return out
 
 
+def oracle_h_scalar(s) -> tuple[float, bool]:
+    """h = (1-|s|^2)/|1-s|^2 at one s by the array formula on a 0-d array, and whether
+    |1 - s| is below the singularity threshold (h is then 0)."""
+    sa = np.asarray(s, dtype=complex)
+    gap = np.abs(1.0 - sa)
+    flagged = gap < hm.CAYLEY_SINGULARITY_THRESHOLD
+    h = (1.0 - np.abs(sa) ** 2) / np.where(flagged, 1.0, gap) ** 2
+    return float(np.where(flagged, 0.0, h)), bool(flagged)
+
+
 # ---------------------------------------------------------------------------
 # paper identities
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import herglotz_measures as hm
+from herglotz_measures import analytic
 from herglotz_measures.analytic import MAX_NODES
 import conftest
 from conftest import TWO_PI, oracle_blaschke, random_contractive_param, random_nodes
@@ -191,6 +192,54 @@ class TestCaratheodoryAndHerglotz:
             values = conftest.caratheodory_eval(nodes, param, z)
             assert float(np.min(values.real)) >= -1e-12
             assert float(np.min(hm.herglotz_eval(nodes, param, z))) >= -1e-12
+
+
+class TestScalarHerglotz:
+    """One value of s takes numpy scalar operations, bit for bit the 0-d array formula."""
+
+    @staticmethod
+    def _draws(rng, count):
+        """s uniform in the unit disc, and as many with |1 - s| log-uniform in [1e-9, 1e-1]."""
+        disc = np.sqrt(rng.uniform(0.0, 1.0, count)) * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
+        gap = 10.0 ** rng.uniform(-9.0, -1.0, count)
+        near_one = 1.0 - gap * np.exp(1j * rng.uniform(0.0, TWO_PI, count))
+        return np.concatenate((disc, near_one)).tolist()
+
+    def test_equals_the_array_formula(self):
+        values = self._draws(np.random.default_rng(21), 50_000)
+        mismatches = []
+        for k, s in enumerate(values):
+            s = np.complex128(s) if k % 2 else s  # complex and np.complex128 alike
+            h, flagged = conftest.oracle_h_scalar(s)
+            if flagged or repr(analytic.herglotz_from_s(s)) != repr(h):
+                mismatches.append(s)
+        assert not mismatches
+
+    def test_threshold(self):
+        # s = 1 - gap for gaps a few ulps either side of the threshold: flagged exactly
+        # where the array formula flags, and the error names the same |1 - s|.
+        threshold = hm.CAYLEY_SINGULARITY_THRESHOLD
+        gaps = [threshold * (1.0 + k * 2.0**-50) for k in range(-8, 9)]
+        values = [1.0 - g * phase for g in gaps for phase in (1.0, 1j, np.exp(0.3j))]
+        outcomes = set()
+        for s in values + [np.complex128(v) for v in values]:
+            h, flagged = conftest.oracle_h_scalar(s)
+            outcomes.add(flagged)
+            if flagged:
+                with pytest.raises(hm.CayleySingularity) as caught:
+                    analytic.herglotz_from_s(s)
+                gap = float(np.abs(1.0 - np.asarray(s, dtype=complex)))
+                assert str(caught.value).startswith(f"|1 - s| = {gap} below")
+            else:
+                assert repr(analytic.herglotz_from_s(s)) == repr(h)
+        assert outcomes == {False, True}
+
+    def test_array_and_zero_d_inputs_keep_the_array_path(self):
+        s = np.array([0.3 + 0.1j, -0.5j, 0.0])
+        assert np.array_equal(analytic.herglotz_from_s(s), analytic.herglotz_samples(s)[0])
+        assert analytic.herglotz_from_s(np.asarray(0.3 + 0.1j)) == analytic.herglotz_from_s(0.3 + 0.1j)
+        with pytest.raises(hm.CayleySingularity):
+            analytic.herglotz_from_s(np.array([0.0, 1.0]))
 
 
 class TestCayleyToS:

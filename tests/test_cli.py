@@ -539,6 +539,22 @@ def test_non_finite_input_exit_2(tmp_path, capsys, case):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("declared", ["purely-atomic", "mixed"])
+def test_verify_rejects_a_kind_the_data_contradicts(tmp_path, capsys, declared):
+    # The density of gamma = 0.5 with no atoms is absolutely continuous, whatever the kind says.
+    argv = _edited_measure_argv(
+        tmp_path,
+        {("kind",): declared},
+        parameter={"type": "constant", "gamma": [0.5, 0]},
+        grid_size=256,
+    )
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "density make it absolutely-continuous" in err
+    assert not (tmp_path / "report.doc").exists()
+
+
 #: MAX_NODES + 1 distinct nodes inside the disc.
 _TOO_MANY_NODES = [[0.5 * k / (MAX_NODES + 1), 0.0] for k in range(MAX_NODES + 1)]
 

@@ -319,3 +319,69 @@ class TestMeasureDocument:
         report = hm.verify_membership(rebuilt, 1e-6)
         assert not report.passed
         assert report.max_abs_error == pytest.approx(8 / 9, abs=1e-10)
+
+
+KINDS = ("absolutely-continuous", "purely-atomic", "mixed")
+
+
+def _doc_of_kind(kind):
+    """A parsed measure document whose atoms and density make a measure of ``kind``."""
+    gamma = 1.0 if kind == "purely-atomic" else 0.5
+    doc, _ = _measure_doc([0.5, 0.3j], hm.Constant(gamma), grid_size=256)
+    if kind == "mixed":  # the density of gamma = 0.5 plus one atom, with the mass to match
+        doc["atoms"], doc["kind"] = [[0.25, 0.5]], "mixed"
+        doc["mass"] += 0.5
+    return doc
+
+
+class TestDeclaredKind:
+    """verify reads the kind from the atoms and the density, and the document must agree."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matching_kind_accepted(self, kind):
+        measure, _ = documents.measure_from_document(_doc_of_kind(kind))
+        assert measure.kind.value == kind
+
+    @pytest.mark.parametrize(
+        "kind, declared", [(kind, other) for kind in KINDS for other in KINDS if other != kind]
+    )
+    def test_contradicting_kind_rejected(self, kind, declared):
+        doc = _doc_of_kind(kind)
+        doc["kind"] = declared
+        with pytest.raises(hm.SchemaError, match=f"density make it {kind}$"):
+            documents.measure_from_document(doc)
+
+    def test_no_atoms_and_a_zero_density_is_no_kind(self):
+        doc = _doc_of_kind("purely-atomic")
+        doc["atoms"], doc["mass"] = [], 0.0
+        with pytest.raises(hm.SchemaError, match="0 atoms and a zero density"):
+            documents.measure_from_document(doc)
+
+
+def _former_csv_text(rows):
+    """The sweep table as it was written one value at a time with format(x, ".17g")."""
+    lines = [documents.SWEEP_CSV_HEADER] + [
+        ",".join(format(float(x), ".17g") for x in row) for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepCsv:
+    EDGE_VALUES = (-0.0, 5e-324, 1e-5, 0.1, 1e16)
+
+    def test_bytes_equal_the_former_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(21)
+        edges = [tuple(np.roll(self.EDGE_VALUES, k)[:4]) for k in range(len(self.EDGE_VALUES))]
+        drawn = rng.standard_normal((64, 4)) * 10.0 ** rng.integers(-300, 300, (64, 4))
+        rows = edges + [tuple(row) for row in drawn.tolist()] + [(0, 1, 2.5, 3)]
+        documents.write_sweep_csv(tmp_path / "sweep.csv", rows)
+        assert (tmp_path / "sweep.csv").read_bytes() == _former_csv_text(rows).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_raises_before_the_file_is_opened(self, tmp_path, bad):
+        path = tmp_path / "sweep.csv"
+        path.write_text("untouched\n", encoding="utf-8")
+        rows = [(0.0, 0.0, 1.0, 1e-12), (0.5, 0.0, 1.0, bad)]
+        with pytest.raises(ValueError, match="non-finite"):
+            documents.write_sweep_csv(path, rows)
+        assert path.read_text(encoding="utf-8") == "untouched\n"

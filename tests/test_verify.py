@@ -221,8 +221,11 @@ class TestBlockedPhiPass:
         measure = _random_density_measure(7, 256, seed=budget)
         self._assert_matches_unblocked(measure)
         # Slices of a prebuilt grid matrix are the same blocks, summed bit for bit alike.
-        grid_cauchy = verify._cauchy_matrix(measure.grid.points, measure.nodes.as_array())
-        assert np.array_equal(verify._node_phi(measure, grid_cauchy), verify._node_phi(measure))
+        z, points = measure.nodes.as_array(), measure.grid.points
+        weights = measure.density / measure.grid.size
+        grid_cauchy = verify._cauchy_matrix(points, z)
+        sliced = verify._phi(z, measure.mass, points, weights, grid_cauchy=grid_cauchy)
+        assert np.array_equal(sliced, verify._node_phi(measure))
 
     def test_peak_memory_is_one_block(self):
         # The whole 128 x 65536 complex matrix is 128 MiB; one block is 2 MiB.
@@ -234,6 +237,29 @@ class TestBlockedPhiPass:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+class TestSweepRingRows:
+    """A sweep's |gamma| = 1 rows, from their atoms alone, equal build_measure + verify_membership."""
+
+    @pytest.mark.parametrize("grid_size", [4096, 65536])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_rows_equal_build_measure_and_verify(self, n, grid_size):
+        rng = np.random.default_rng(n + grid_size)
+        z = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        nodes = hm.validate_nodes(z)
+        angles = TWO_PI * np.arange(8) / 8
+        gammas = [complex(np.cos(a), np.sin(a)) for a in angles]
+        rows = list(verify.sweep_reports(nodes, gammas, grid_size, 1e-8))
+        assert len(rows) == len(gammas)
+        for gamma, (mass, report) in zip(gammas, rows):
+            built = hm.build_measure(nodes, hm.Constant(gamma), grid_size)
+            expected = hm.verify_membership(built, 1e-8)
+            assert repr(mass) == repr(built.mass)
+            assert np.array_equal(report.computed, expected.computed)
+            assert np.array_equal(report.target, expected.target)
+            assert repr(report.max_abs_error) == repr(expected.max_abs_error)
+            assert report.passed == expected.passed
 
 
 class TestVerifyMembership:
