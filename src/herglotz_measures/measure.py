@@ -147,14 +147,9 @@ class GeneratedMeasure:
         object.__setattr__(self, "mass", float(density.mean()) + sum(a.weight for a in atoms))
 
     def atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return atom_arrays(self.atoms)
-
-
-def atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray]:
-    """Locations and weights of ``atoms`` as a complex and a float array."""
-    locs = np.asarray([a.location for a in atoms], dtype=complex)
-    weights = np.asarray([a.weight for a in atoms], dtype=float)
-    return locs, weights
+        locs = np.asarray([a.location for a in self.atoms], dtype=complex)
+        weights = np.asarray([a.weight for a in self.atoms], dtype=float)
+        return locs, weights
 
 
 def boundary_density(

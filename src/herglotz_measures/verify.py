@@ -20,8 +20,7 @@ the same blocks as slices of it.  Its contractive rows go in row blocks:
 s = B * gamma (B first, as in generate), the density, its mean and least
 sample, the weights and the Gram errors are one array pass per block, while
 phi and h(0) (a numpy scalar expression) stay per row, so each row equals what
-generate computes, bit for bit.  Its |gamma| = 1 rows take the mass and phi
-from their atoms alone, without a measure object or a density of zeros.
+generate computes, bit for bit.
 The direct route, one quadrature of 1/((t - z') conj(t - z'')) per pair,
 lives only in the tests, as their Gram oracle.
 
@@ -54,7 +53,7 @@ from .measure import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     GeneratedMeasure,
-    atom_arrays,
+    assemble_measure,
     build_measure,
     check_density,
     check_grid_size,
@@ -129,11 +128,12 @@ def _phi(z, mass, points, weights, atoms=None, grid_cauchy=None) -> np.ndarray:
     The density part is summed over column blocks of at most _PHI_BLOCK_ELEMENTS entries,
     in the same blocks whatever their source: slices of ``grid_cauchy``, the whole
     _cauchy_matrix of the grid at the nodes when a caller already has it, or else one
-    reused buffer filled block by block.  ``atoms`` is a (locations, weights) pair.
+    reused buffer filled block by block.  ``atoms`` is a (locations, weights) pair.  The
+    sum starts from the first product, not from zeros: one block costs one product.
     """
-    sums = np.zeros(z.size, dtype=complex)
+    sums = None
     if weights is not None:
-        width = _phi_width(z.size, points.size)
+        width = min(points.size, max(1, _PHI_BLOCK_ELEMENTS // z.size))
         if grid_cauchy is None:
             block = np.empty((z.size, width), dtype=complex)
         for start in range(0, points.size, width):
@@ -143,16 +143,15 @@ def _phi(z, mass, points, weights, atoms=None, grid_cauchy=None) -> np.ndarray:
                 cauchy = _cauchy_matrix(chunk, z, block[:, : chunk.size])
             else:
                 cauchy = grid_cauchy[:, columns]
-            sums += cauchy @ weights[columns]
+            part = cauchy @ weights[columns]
+            sums = part if sums is None else sums + part
     if atoms is not None:
         locations, atom_weights = atoms
-        sums += _cauchy_matrix(locations, z) @ atom_weights
+        part = _cauchy_matrix(locations, z) @ atom_weights
+        sums = part if sums is None else sums + part
+    if sums is None:
+        sums = np.zeros(z.size, dtype=complex)
     return mass + 2.0 * z * sums
-
-
-def _phi_width(n: int, size: int) -> int:
-    """Columns of one block of the phi pass: at most _PHI_BLOCK_ELEMENTS entries, at least one."""
-    return min(size, max(1, _PHI_BLOCK_ELEMENTS // n))
 
 
 def gram_target(nodes: NodeSet) -> np.ndarray:
@@ -236,10 +235,9 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
 
     ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what
     build_measure raises for the first failing gamma.  The node-only work runs once
-    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix).
-    Each run of consecutive |gamma| = 1 rows shares one atom solve, and each of its
-    rows takes its mass and phi from its atoms alone, with no density of zeros.  Runs
-    of contractive rows go in row blocks of _SWEEP_BLOCK_ELEMENTS entries (see
+    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix),
+    and each run of consecutive |gamma| = 1 rows shares one atom solve.  Runs of
+    contractive rows go in row blocks of _SWEEP_BLOCK_ELEMENTS entries (see
     _sweep_block), and a block's rows are yielded once all of them have passed their checks.
     """
     check_grid_size(grid_size)
@@ -265,15 +263,13 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
                     z, block, b0, blaschke, grid, target, cauchy, tolerance, work
                 )
             continue
-        ring = [p.gamma for p in run]
-        for gamma, atoms in zip(ring, solve_atoms(ring, z)):
+        params = list(run)
+        for param, atoms in zip(params, solve_atoms([p.gamma for p in params], z)):
             if isinstance(atoms, PhaseWindingMismatch):
                 raise atoms
-            # The mass and phi of assemble_measure's atomic measure, whose density is zero.
-            mass = sum(a.weight for a in atoms)
-            check_mass(mass, herglotz_from_s(b0 * gamma))
-            phi = _phi(z, mass, grid.points, None, atom_arrays(atoms))
-            yield mass, _gram_report(phi, target, tolerance)
+            measure = assemble_measure(nodes, param, grid, atoms)
+            check_mass(measure.mass, herglotz_from_s(b0 * param.gamma))
+            yield measure.mass, _gram_report(_node_phi(measure), target, tolerance)
 
 
 def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work):
@@ -281,9 +277,9 @@ def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work)
 
     The rows are checked in order, so the first failing gamma raises as build_measure
     would.  The weights density / N of the whole block are one division into ``work``,
-    once s is spent.  When one block of the phi pass covers the grid (every sweep with
-    n * N <= _PHI_BLOCK_ELEMENTS), a row's density part of phi is one product of the
-    grid's Cauchy matrix with its weights; otherwise the row goes through _phi's blocks.
+    once s is spent, and each row's phi is _phi on its row of them (one product with the
+    grid's Cauchy matrix when one block of the phi pass covers the grid, as in every
+    sweep with n * N <= _PHI_BLOCK_ELEMENTS).
     phi stays one matrix-vector product per row and h(0) one scalar: a matrix product's
     rows, and the array path of herglotz_from_s, differ in rare last bits.
     """
@@ -294,14 +290,9 @@ def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work)
     # Complex weights in s's buffer, with zero imaginary parts: the values that a product
     # with float weights would cast them to.
     weights = np.divide(density, grid.size, out=s)
-    whole = cauchy is not None and _phi_width(z.size, grid.size) == grid.size
-    twice_z = 2.0 * z
     phi = np.empty((len(gammas), z.size), dtype=complex)
     for k, gamma in enumerate(gammas):
         check_density(density[k], counts[k], lows[k])
         check_mass(masses[k], herglotz_from_s(b0 * gamma))
-        if whole:  # _phi's one block, without its zero start and its wrapping
-            phi[k] = masses[k] + twice_z * (cauchy @ weights[k])
-        else:
-            phi[k] = _phi(z, masses[k], grid.points, weights[k], grid_cauchy=cauchy)
+        phi[k] = _phi(z, masses[k], grid.points, weights[k], grid_cauchy=cauchy)
     return zip(masses, _gram_reports(phi, target, tolerance))

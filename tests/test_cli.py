@@ -555,6 +555,22 @@ def test_verify_rejects_a_kind_the_data_contradicts(tmp_path, capsys, declared):
     assert not (tmp_path / "report.doc").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["generate"], "the following arguments are required: --config"),
+        (["frobnicate", "--config", "job.json"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_usage_error_exit_2(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: herglotz-measures ")
+    assert lines[-1].startswith(f"herglotz-measures: error: {error}")
+
+
 #: MAX_NODES + 1 distinct nodes inside the disc.
 _TOO_MANY_NODES = [[0.5 * k / (MAX_NODES + 1), 0.0] for k in range(MAX_NODES + 1)]
 

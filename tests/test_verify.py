@@ -240,7 +240,7 @@ class TestBlockedPhiPass:
 
 
 class TestSweepRingRows:
-    """A sweep's |gamma| = 1 rows, from their atoms alone, equal build_measure + verify_membership."""
+    """A sweep's |gamma| = 1 rows, from one shared atom solve, equal build_measure + verify_membership."""
 
     @pytest.mark.parametrize("grid_size", [4096, 65536])
     @pytest.mark.parametrize("n", [8, 32])

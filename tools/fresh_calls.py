@@ -39,6 +39,9 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("roundtrip", "atomic", "sweep")
+#: The first line of an uncaught exception's report, wherever it falls in stderr (warnings
+#: or other text may come before it).
+TRACEBACK = "Traceback (most recent call last):"
 #: Imports the program from argv[1] and, given a command, runs cli.main on the rest.
 RUNNER = (
     "import sys; sys.dont_write_bytecode = True; sys.path.insert(0, sys.argv[1]); "
@@ -76,7 +79,7 @@ def measure(src: Path, argv: list[str], repeat: int) -> dict:
         "code": runs[-1][0],
         "cpu_s": statistics.median(r[1] for r in runs),
         "minflt": int(statistics.median(r[2] for r in runs)),
-        "crashed": any(r[3].startswith("Traceback") for r in runs),
+        "crashed": any(TRACEBACK in r[3] for r in runs),
     }
 
 
