@@ -51,15 +51,11 @@ from .measure import (
     total_mass,
 )
 from .verify import (
-    GramReport,
-    PhiConditionsReport,
+    Certificate,
     certify,
-    check_phi_conditions,
     extremal_measures,
-    gram_compute,
     gram_target,
     mass_bounds,
-    verify_membership,
 )
 
 __version__ = "0.1.0"
@@ -68,6 +64,7 @@ __all__ = [
     "Atom",
     "CAYLEY_SINGULARITY_THRESHOLD",
     "CayleySingularity",
+    "Certificate",
     "CertifiedRational",
     "CircleGrid",
     "Constant",
@@ -75,7 +72,6 @@ __all__ = [
     "DuplicateNode",
     "EmptyNodeList",
     "GeneratedMeasure",
-    "GramReport",
     "HerglotzMeasureError",
     "MassConsistencyFailure",
     "MeasureKind",
@@ -84,7 +80,6 @@ __all__ = [
     "NotInnerParameter",
     "ParameterNotCertified",
     "PhaseWindingMismatch",
-    "PhiConditionsReport",
     "PoleHit",
     "ScaledBlaschke",
     "SchemaError",
@@ -96,10 +91,8 @@ __all__ = [
     "boundary_density",
     "build_measure",
     "certify",
-    "check_phi_conditions",
     "extremal_measures",
     "find_atoms",
-    "gram_compute",
     "gram_target",
     "herglotz_eval",
     "mass_bound_base",
@@ -109,5 +102,4 @@ __all__ = [
     "solve_special_system",
     "total_mass",
     "validate_nodes",
-    "verify_membership",
 ]

@@ -251,15 +251,14 @@ def herglotz_samples(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     gap = np.abs(1.0 - s)
     flagged = gap < CAYLEY_SINGULARITY_THRESHOLD
-    if flagged.any():
-        h = (1.0 - np.abs(s) ** 2) / np.where(flagged, 1.0, gap) ** 2
-        return np.where(flagged, 0.0, h), flagged
-    # Nothing flagged: the same operations, in place and without the masks, allocate one
-    # float array besides gap instead of six (a sweep's row blocks with six made glibc
-    # trim and re-fault the heap on every block).
+    # In place: one float array besides gap (a sweep's row blocks with six, one per
+    # operation, made glibc trim and re-fault the heap on every block).
+    gap[flagged] = 1.0
     h = np.abs(s)
     np.subtract(1.0, np.square(h, out=h), out=h)
-    return np.divide(h, np.square(gap, out=gap), out=h), flagged
+    np.divide(h, np.square(gap, out=gap), out=h)
+    h[flagged] = 0.0
+    return h, flagged
 
 
 def _singularity(gap) -> CayleySingularity:

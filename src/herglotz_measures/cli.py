@@ -19,7 +19,7 @@ from . import documents
 from .analytic import NodeSet, SchurParameter, mass_bound_base
 from .errors import HerglotzMeasureError, SchemaError
 from .measure import DEFAULT_GRID_SIZE, TWO_PI, build_measure, check_grid_size
-from .verify import certify, extremal_measures, mass_bounds, sweep_reports, verify_membership
+from .verify import certify, extremal_measures, mass_bounds, sweep_reports
 
 DEFAULT_TOLERANCE = 1e-8
 #: Largest sweep table: 1 + (radius_steps - 1) * angle_steps rows.
@@ -163,16 +163,16 @@ def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
 
 def run_generate(config: JobConfig) -> int:
     measure = build_measure(config.nodes, config.parameter, config.grid_size)
-    report = verify_membership(measure, config.tolerance)
+    certificate = certify(measure, config.tolerance)
     documents.write_document(
-        config.output_path, documents.measure_document(measure, report, measure.mass)
+        config.output_path, documents.measure_document(measure, certificate, measure.mass)
     )
-    status = "pass" if report.passed else "FAIL"
+    status = "pass" if certificate.gram_passed else "FAIL"
     print(
         f"generate: kind={measure.kind.value} mass={measure.mass:.12g} "
-        f"gram_error={report.max_abs_error:.3e} [{status}] -> {config.output_path}"
+        f"gram_error={certificate.gram_error:.3e} [{status}] -> {config.output_path}"
     )
-    return 0 if report.passed else 1
+    return 0 if certificate.gram_passed else 1
 
 
 def run_verify(config: JobConfig) -> int:
@@ -183,33 +183,35 @@ def run_verify(config: JobConfig) -> int:
             measure, _ = documents.measure_from_document(
                 documents.read_document(config.measure_path)
             )
-            gram, phi = certify(measure, config.tolerance)
+            certificate = certify(measure, config.tolerance)
+            system = certificate.system  # solved here, under the errstate
         except FloatingPointError as exc:
             raise SchemaError(f"measure document values leave the float range: {exc}") from exc
     documents.write_document(
         config.output_path,
-        documents.verify_report_document(config.measure_path, gram, phi, measure.mass),
+        documents.verify_report_document(
+            config.measure_path, certificate, certificate, measure.mass
+        ),
     )
-    passed = gram.passed and phi.passed
-    beta_text = "n/a" if phi.beta is None else f"{phi.beta:.6g}"
+    beta_text = "n/a" if system.beta is None else f"{system.beta:.6g}"
     print(
-        f"verify: gram_error={gram.max_abs_error:.3e} beta={beta_text} "
-        f"phi_residual={phi.residual:.3e} [{'pass' if passed else 'FAIL'}] "
+        f"verify: gram_error={certificate.gram_error:.3e} beta={beta_text} "
+        f"phi_residual={system.residual:.3e} [{'pass' if certificate.passed else 'FAIL'}] "
         f"-> {config.output_path}"
     )
-    return 0 if passed else 1
+    return 0 if certificate.passed else 1
 
 
 def _extremal_block(measure, tolerance: float) -> tuple[dict, bool]:
-    report = verify_membership(measure, tolerance)
+    certificate = certify(measure, tolerance)
     block = {
         "parameter": documents.parameter_descriptor(measure.param),
         "mass": measure.mass,
         "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
-        "membership_passed": report.passed,
-        "max_abs_error": report.max_abs_error,
+        "membership_passed": certificate.gram_passed,
+        "max_abs_error": certificate.gram_error,
     }
-    return block, report.passed
+    return block, certificate.gram_passed
 
 
 def run_bounds(config: JobConfig) -> int:
@@ -243,9 +245,9 @@ def run_sweep(config: JobConfig) -> int:
     ]
     reports = sweep_reports(config.nodes, gammas, config.grid_size, config.tolerance)
     rows, passed = [], True
-    for gamma, (mass, report) in zip(gammas, reports):
-        rows.append((gamma.real, gamma.imag, mass, report.max_abs_error))
-        passed = passed and report.passed
+    for gamma, (mass, certificate) in zip(gammas, reports):
+        rows.append((gamma.real, gamma.imag, mass, certificate.gram_error))
+        passed = passed and certificate.gram_passed
     documents.write_sweep_csv(config.output_path, rows)
     print(f"sweep: {len(rows)} rows [{'pass' if passed else 'FAIL'}] -> {config.output_path}")
     return 0 if passed else 1

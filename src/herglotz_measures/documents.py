@@ -40,7 +40,7 @@ from .measure import (
     MeasureKind,
     check_grid_size,
 )
-from .verify import GramReport, PhiConditionsReport
+from .verify import Certificate
 
 MEASURE_SCHEMA = "herglotz-measure/v1"
 VERIFY_SCHEMA = "herglotz-verify-report/v1"
@@ -236,13 +236,13 @@ def _matrix_block(matrix: np.ndarray) -> np.ndarray:
     return np.stack((matrix.real, matrix.imag), axis=-1)
 
 
-def gram_report_block(report: GramReport) -> dict:
+def gram_report_block(certificate: Certificate) -> dict:
     return {
-        "tolerance": report.tolerance,
-        "max_abs_error": report.max_abs_error,
-        "passed": report.passed,
-        "target": _matrix_block(report.target),
-        "computed": _matrix_block(report.computed),
+        "tolerance": certificate.tolerance,
+        "max_abs_error": certificate.gram_error,
+        "passed": certificate.gram_passed,
+        "target": _matrix_block(certificate.target),
+        "computed": _matrix_block(certificate.computed),
     }
 
 
@@ -251,7 +251,7 @@ def gram_report_block(report: GramReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def measure_document(measure: GeneratedMeasure, gram_report: GramReport, mass: float) -> dict:
+def measure_document(measure: GeneratedMeasure, certificate: Certificate, mass: float) -> dict:
     if measure.param is None:
         raise ValueError("only generated measures (with a parameter) are serialized")
     return {
@@ -263,7 +263,7 @@ def measure_document(measure: GeneratedMeasure, gram_report: GramReport, mass: f
         "mass": float(mass),
         "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
         "density": np.column_stack((measure.grid.angles, measure.density)),
-        "gram_report": gram_report_block(gram_report),
+        "gram_report": gram_report_block(certificate),
     }
 
 
@@ -365,7 +365,7 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
         raise SchemaError(f"malformed measure document: {exc}") from exc
 
     kinds = {k.value: k for k in MeasureKind}
-    if doc["kind"] not in kinds:
+    if not isinstance(doc["kind"], str) or doc["kind"] not in kinds:
         raise SchemaError(f"unknown measure kind {doc['kind']!r}")
 
     density = _density_from(samples, grid)
@@ -401,23 +401,21 @@ def measure_from_document(doc: dict) -> tuple[GeneratedMeasure, float]:
     return measure, declared
 
 
-def verify_report_document(
-    source: str,
-    gram_report: GramReport,
-    phi_report: PhiConditionsReport,
-    mass: float,
-) -> dict:
+def verify_report_document(source: str, gram: Certificate, phi: Certificate, mass: float) -> dict:
+    """The Gram verdict of ``gram`` and the phi verdict of ``phi``: cli passes its one
+    certificate as both, perfbench/replay.py its verify_membership and check_phi_conditions."""
+    system = phi.system
     return {
         "schema": VERIFY_SCHEMA,
         "source": str(source),
-        "tolerance": gram_report.tolerance,
-        "max_abs_error": gram_report.max_abs_error,
-        "gram_passed": gram_report.passed,
-        "beta": None if phi_report.beta is None else float(phi_report.beta),
-        "phi_residual": float(phi_report.residual),
-        "phi_passed": phi_report.passed,
+        "tolerance": gram.tolerance,
+        "max_abs_error": gram.gram_error,
+        "gram_passed": gram.gram_passed,
+        "beta": None if system.beta is None else float(system.beta),
+        "phi_residual": float(system.residual),
+        "phi_passed": system.solvable,
         "mass": float(mass),
-        "passed": gram_report.passed and phi_report.passed,
+        "passed": gram.gram_passed and system.solvable,
     }
 
 

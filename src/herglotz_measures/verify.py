@@ -3,7 +3,9 @@
 A measure reproduces the Lebesgue scalar product on the Cauchy fractions
 1/(t - z_k) exactly when its Gram matrix matches the closed-form target
 1/(1 - z_k conj(z_l)); equivalently, when phi(z_k) + conj(phi(z_l)) = 2 for
-all pairs.  Both certificates are computed here at finite tolerance.
+all pairs.  ``certify`` judges both at finite tolerance and returns them as one
+``Certificate``: the phi values, the target and the Gram error, from which the
+Gram matrix, the special system (solved on first read) and the verdicts follow.
 
 On |t| = 1 the kernel identity
 
@@ -33,6 +35,7 @@ and not a bound; a negative density sample proves |omega| > 1 there, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby, islice
 
 import numpy as np
@@ -75,37 +78,6 @@ _SWEEP_REUSE_ELEMENTS = 1 << 19
 #: sweep passes 2**13 took 9-16% more CPU, and 2**15 at most a few % less but raised the
 #: peak RSS from 40.4 to 41.2-41.4 MB.
 _SWEEP_BLOCK_ELEMENTS = 1 << 14
-
-
-@dataclass(frozen=True, eq=False)
-class GramReport:
-    """Target vs computed Gram matrix with an entrywise-error verdict."""
-
-    target: np.ndarray
-    computed: np.ndarray
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True, eq=False)
-class PhiConditionsReport:
-    """phi values at the nodes and the special-system outcome."""
-
-    phi_values: np.ndarray
-    system: SpecialSystemResult
-
-    @property
-    def beta(self) -> float | None:
-        return self.system.beta
-
-    @property
-    def residual(self) -> float:
-        return self.system.residual
-
-    @property
-    def passed(self) -> bool:
-        return self.system.solvable
 
 
 def _cauchy_matrix(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,49 +141,84 @@ def _gram_from_phi(phi: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 0.5 * (phi[..., :, None] + phi.conj()[..., None, :]) * target
 
 
-def gram_compute(measure: GeneratedMeasure) -> np.ndarray:
-    """Gram matrix of the measure (quadrature plus exact atom sums) via phi at the nodes."""
-    return _gram_from_phi(_node_phi(measure), gram_target(measure.nodes))
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """Both certificates of a measure, from its n values phi(z_k).
+
+    ``gram_error`` is the entrywise Gram defect max |computed - target|.  The Gram
+    matrix itself (``computed``) and the special system (``system``) are derived on
+    read, the system once: a sweep row, which reads only the Gram verdict, never solves it.
+    """
+
+    phi: np.ndarray
+    target: np.ndarray
+    tolerance: float
+    gram_error: float
+
+    @property
+    def computed(self) -> np.ndarray:
+        """Gram matrix of the measure (quadrature plus exact atom sums), by the kernel identity."""
+        # The (1, n, n) shape of the error pass, so the document's matrix keeps its bits.
+        return _gram_from_phi(self.phi[None, :], self.target)[0]
+
+    @property
+    def gram_passed(self) -> bool:
+        return self.gram_error <= self.tolerance
+
+    @cached_property
+    def system(self) -> SpecialSystemResult:
+        """The rank-one system phi_k + conj(phi_l) = 2; solvable exactly for members."""
+        return solve_special_system(self.phi, tol=self.tolerance)
+
+    @property
+    def passed(self) -> bool:
+        return self.gram_passed and self.system.solvable
 
 
-def _gram_reports(phi: np.ndarray, target: np.ndarray, tolerance: float) -> list[GramReport]:
-    """One GramReport per row of the (R, n) array ``phi``, from one (R, n, n) array pass."""
+def _certificates(phi: np.ndarray, target: np.ndarray, tolerance: float) -> list[Certificate]:
+    """One Certificate per row of the (R, n) array ``phi``, their errors from one (R, n, n) pass."""
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    computed = _gram_from_phi(phi, target)
-    errors = np.abs(computed - target).max(axis=(1, 2)).tolist()
-    return [
-        GramReport(target, matrix, error, float(tolerance), passed=error <= tolerance)
-        for matrix, error in zip(computed, errors)
-    ]
+    errors = np.abs(_gram_from_phi(phi, target) - target).max(axis=(1, 2)).tolist()
+    return [Certificate(row, target, float(tolerance), error) for row, error in zip(phi, errors)]
 
 
-def _gram_report(phi: np.ndarray, target: np.ndarray, tolerance: float) -> GramReport:
-    return _gram_reports(phi[None, :], target, tolerance)[0]
+def certify(measure: GeneratedMeasure, tolerance: float) -> Certificate:
+    """The measure's certificate, from one phi pass; never raises on fail."""
+    return _certificates(_node_phi(measure)[None, :], gram_target(measure.nodes), tolerance)[0]
 
 
-def _phi_report(phi: np.ndarray, tolerance: float) -> PhiConditionsReport:
-    return PhiConditionsReport(phi_values=phi, system=solve_special_system(phi, tol=tolerance))
+# perfbench/replay.py calls the two names below and reads .max_abs_error, .residual and
+# .passed off their results; not exported, they go with its next revision (ROADMAP item 11).
 
 
-def verify_membership(measure: GeneratedMeasure, tolerance: float) -> GramReport:
-    """Certify membership by the entrywise Gram defect; never raises on fail."""
-    return _gram_report(_node_phi(measure), gram_target(measure.nodes), tolerance)
+@dataclass(frozen=True, eq=False)
+class _Verdict:
+    """A certificate with one of its verdicts as ``passed``, and the old report fields."""
+
+    certificate: Certificate
+    passed: bool
+
+    def __getattr__(self, name):
+        return getattr(self.certificate, name)
+
+    @property
+    def max_abs_error(self) -> float:
+        return self.certificate.gram_error
+
+    @property
+    def residual(self) -> float:
+        return self.certificate.system.residual
 
 
-def check_phi_conditions(measure: GeneratedMeasure, tolerance: float) -> PhiConditionsReport:
-    """Evaluate phi at the nodes and solve the rank-one system.
-
-    Success (a common value 1 - i*beta exists within tolerance) is equivalent
-    to membership; the returned beta is free diagnostic information.
-    """
-    return _phi_report(_node_phi(measure), tolerance)
+def verify_membership(measure: GeneratedMeasure, tolerance: float) -> _Verdict:
+    certificate = certify(measure, tolerance)
+    return _Verdict(certificate, certificate.gram_passed)
 
 
-def certify(measure: GeneratedMeasure, tolerance: float) -> tuple[GramReport, PhiConditionsReport]:
-    """Both certificates (verify_membership, check_phi_conditions) from one phi pass."""
-    phi = _node_phi(measure)
-    return _gram_report(phi, gram_target(measure.nodes), tolerance), _phi_report(phi, tolerance)
+def check_phi_conditions(measure: GeneratedMeasure, tolerance: float) -> _Verdict:
+    certificate = certify(measure, tolerance)
+    return _Verdict(certificate, certificate.system.solvable)
 
 
 def mass_bounds(nodes: NodeSet) -> tuple[float, float]:
@@ -231,7 +238,7 @@ def extremal_measures(
 
 
 def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
-    """Yield (mass, verify_membership report) of build_measure(nodes, Constant(gamma)) per gamma.
+    """Yield (mass, certify(measure, tolerance)) of build_measure(nodes, Constant(gamma)) per gamma.
 
     ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what
     build_measure raises for the first failing gamma.  The node-only work runs once
@@ -269,11 +276,11 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
                 raise atoms
             measure = assemble_measure(nodes, param, grid, atoms)
             check_mass(measure.mass, herglotz_from_s(b0 * param.gamma))
-            yield measure.mass, _gram_report(_node_phi(measure), target, tolerance)
+            yield measure.mass, _certificates(_node_phi(measure)[None, :], target, tolerance)[0]
 
 
 def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work):
-    """(mass, GramReport) rows of consecutive contractive ``gammas``, bit for bit as generate's.
+    """(mass, Certificate) rows of consecutive contractive ``gammas``, bit for bit as generate's.
 
     The rows are checked in order, so the first failing gamma raises as build_measure
     would.  The weights density / N of the whole block are one division into ``work``,
@@ -295,4 +302,4 @@ def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work)
         check_density(density[k], counts[k], lows[k])
         check_mass(masses[k], herglotz_from_s(b0 * gamma))
         phi[k] = _phi(z, masses[k], grid.points, weights[k], grid_cauchy=cauchy)
-    return zip(masses, _gram_reports(phi, target, tolerance))
+    return zip(masses, _certificates(phi, target, tolerance))

@@ -72,8 +72,7 @@ def test_criterion_1_lebesgue_recovery():
         measure = hm.build_measure(nodes, hm.Constant(0.0), 4096)
         assert np.array_equal(measure.density, np.ones(4096))
         assert hm.total_mass(measure) == 1.0
-        report = hm.verify_membership(measure, 1e-12)
-        worst = max(worst, report.max_abs_error)
+        worst = max(worst, hm.certify(measure, 1e-12).gram_error)
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -99,9 +98,9 @@ def test_criterion_2_extremal_masses():
             abs(hm.total_mass(minimal) - (1 - b0) / (1 + b0)),
         )
         for measure in (maximal, minimal):
-            report = hm.verify_membership(measure, 1e-10)
-            worst_gram = max(worst_gram, report.max_abs_error)
-            all_passed &= report.passed
+            certificate = hm.certify(measure, 1e-10)
+            worst_gram = max(worst_gram, certificate.gram_error)
+            all_passed &= certificate.gram_passed
     elapsed = time.perf_counter() - start
     _report(
         2,
@@ -117,9 +116,9 @@ def test_criterion_3_contractive_membership(contractive_cases):
     all_passed = True
     for nodes, param in contractive_cases:
         measure = hm.build_measure(nodes, param, 4096)
-        report = hm.verify_membership(measure, 1e-8)
-        worst = max(worst, report.max_abs_error)
-        all_passed &= report.passed
+        certificate = hm.certify(measure, 1e-8)
+        worst = max(worst, certificate.gram_error)
+        all_passed &= certificate.gram_passed
     elapsed = time.perf_counter() - start
     _report(
         3,
@@ -146,11 +145,12 @@ def test_criterion_4_equivalence_with_phi_conditions(contractive_cases):
     agree = True
     negatives_fail = True
     for measure in suite + negatives:
-        gram_ok = hm.verify_membership(measure, 1e-8).passed
-        phi_ok = hm.check_phi_conditions(measure, 1e-8).passed
+        certificate = hm.certify(measure, 1e-8)
+        gram_ok = certificate.gram_passed
+        phi_ok = certificate.system.solvable
         agree &= gram_ok == phi_ok
     for measure in negatives:
-        negatives_fail &= not hm.verify_membership(measure, 1e-8).passed
+        negatives_fail &= not hm.certify(measure, 1e-8).gram_passed
     _report(
         4,
         agree and negatives_fail,
@@ -226,7 +226,7 @@ def test_criterion_7_atom_counting():
             mu = 1.0 / (atom.location * oracle_s_derivative(nodes, param, atom.location))
             residual_ok &= abs(mu.imag) <= 1e-10
         measure = hm.build_measure(nodes, param, 4096)
-        gram_ok &= hm.verify_membership(measure, 1e-10).passed
+        gram_ok &= hm.certify(measure, 1e-10).gram_passed
     _report(
         7,
         counts_ok and weights_ok and residual_ok and gram_ok,
@@ -238,8 +238,8 @@ def test_criterion_7_atom_counting():
 def test_criterion_8_quadrature_convergence(contractive_cases):
     worst = 0.0
     for nodes, param in contractive_cases:
-        coarse = hm.gram_compute(hm.build_measure(nodes, param, 2048))
-        fine = hm.gram_compute(hm.build_measure(nodes, param, 4096))
+        coarse = hm.certify(hm.build_measure(nodes, param, 2048), 1e-8).computed
+        fine = hm.certify(hm.build_measure(nodes, param, 4096), 1e-8).computed
         worst = max(worst, float(np.max(np.abs(coarse - fine))))
     _report(
         8,

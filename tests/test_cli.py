@@ -356,7 +356,7 @@ class TestSweep:
 
     @staticmethod
     def _per_gamma(nodes, radius_steps, angle_steps, grid_size):
-        """Rows of build_measure + verify_membership per gamma, or the stderr of the first failure."""
+        """Rows of build_measure + certify per gamma, or the stderr of the first failure."""
         radii = np.linspace(0.0, 1.0, radius_steps)
         angles = TWO_PI * np.arange(angle_steps) / angle_steps
         rows = []
@@ -367,7 +367,7 @@ class TestSweep:
                     built = hm.build_measure(nodes, hm.Constant(gamma), grid_size)
                 except hm.HerglotzMeasureError as exc:
                     return rows, f"error: {exc}\n"
-                error = hm.verify_membership(built, 1e-8).max_abs_error
+                error = hm.certify(built, 1e-8).gram_error
                 rows.append((gamma.real, gamma.imag, built.mass, error))
         return rows, ""
 
@@ -555,6 +555,53 @@ def test_verify_rejects_a_kind_the_data_contradicts(tmp_path, capsys, declared):
     assert not (tmp_path / "report.doc").exists()
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["array", "object"])
+def test_verify_rejects_a_kind_that_is_not_a_string(tmp_path, capsys, kind):
+    argv = _edited_measure_argv(tmp_path, {("kind",): kind})
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: unknown measure kind {kind!r}\n"
+    assert not (tmp_path / "report.doc").exists()
+
+
+#: One parameter of each form that generate takes, the last one inner.
+CERTIFIED_PARAMETERS = {
+    "constant": {"type": "constant", "gamma": [0.3, -0.4]},
+    "scaled-blaschke": {"type": "scaled-blaschke", "gamma": [0.4, 0.3], "zeros": [[0.2, -0.5]]},
+    "rational": {
+        "type": "rational",
+        "numerator": [[0.2, 0.1], [0.1, 0]],
+        "denominator": [[1, 0], [-0.2, 0.1]],
+    },
+    "inner": {"type": "scaled-blaschke", "gamma": [0.6, 0.8], "zeros": [[0.2, -0.5]]},
+}
+
+
+@pytest.mark.parametrize("grid_size", [256, 4096])
+@pytest.mark.parametrize("form", list(CERTIFIED_PARAMETERS))
+def test_generate_and_verify_certify_a_document_alike(tmp_path, form, grid_size):
+    nodes = [[0.5, 0.1], [-0.3, 0.4]]
+    parameter = CERTIFIED_PARAMETERS[form]
+    assert main(["generate", "--config", generate_config(tmp_path, nodes, parameter,
+                                                          grid_size=grid_size)]) == 0
+    payload = {
+        "command": "verify",
+        "measure_path": str(tmp_path / "measure.doc"),
+        "output_path": str(tmp_path / "report.doc"),
+    }
+    assert main(["verify", "--config", write_config(tmp_path / "verify.json", payload)]) == 0
+    doc = documents.read_document(tmp_path / "measure.doc")
+    report = documents.read_document(tmp_path / "report.doc")
+    assert report["max_abs_error"] == doc["gram_report"]["max_abs_error"]
+    built = hm.build_measure(
+        documents.nodes_from_descriptor(nodes),
+        documents.parameter_from_descriptor(parameter),
+        grid_size,
+    )
+    rebuilt, _ = documents.measure_from_document(doc)
+    assert np.array_equal(hm.certify(rebuilt, 1e-8).phi, hm.certify(built, 1e-8).phi)
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -674,6 +721,38 @@ class TestNodeOnlyWorkReuse:
         # Each of the 16 density rows per call sums its own blocks: 250 + 250 + 12 columns
         # for n = 2, then 500 + 12 for n = 1.
         assert blocks == [250, 250, 12] * 16 + [500, 12] * 16
+
+    def test_only_verify_solves_the_special_system(self, tmp_path, monkeypatch):
+        calls = []
+        solve = verify.solve_special_system
+
+        def counting_solve(phi, tol):
+            calls.append(len(phi))
+            return solve(phi, tol=tol)
+
+        monkeypatch.setattr(verify, "solve_special_system", counting_solve)
+        nodes = [[0.5, 0], [0.1, -0.3]]
+        # 1 + 2 * 4 rows: gamma = 0, a contractive ring and the |gamma| = 1 ring.
+        payload = {
+            "command": "sweep",
+            "nodes": nodes,
+            "sweep": {"radius_steps": 3, "angle_steps": 4},
+            "output_path": str(tmp_path / "sweep.csv"),
+        }
+        assert main(["sweep", "--config", write_config(tmp_path / "s.json", payload)]) == 0
+        assert calls == []
+        parameter = {"type": "constant", "gamma": [0.5, 0]}
+        assert main(["generate", "--config", generate_config(tmp_path, nodes, parameter)]) == 0
+        assert calls == []
+        payload = {
+            "command": "verify",
+            "measure_path": str(tmp_path / "measure.doc"),
+            "output_path": str(tmp_path / "report.doc"),
+        }
+        verify_config = write_config(tmp_path / "verify.json", payload)
+        for count in (1, 2):
+            assert main(["verify", "--config", verify_config]) == 0
+            assert calls == [2] * count
 
     def _generate_at_65536(self, tmp_path):
         parameter = {"type": "scaled-blaschke", "gamma": [0.4, 0.3], "zeros": [[0.2, -0.5]]}

@@ -15,8 +15,8 @@ def _array_doc(nodes_list, param, grid_size=512, tolerance=1e-8):
     """A measure document as generate writes it: its density and Gram matrices are arrays."""
     nodes = hm.validate_nodes(nodes_list)
     measure = hm.build_measure(nodes, param, grid_size)
-    report = hm.verify_membership(measure, tolerance)
-    return documents.measure_document(measure, report, hm.total_mass(measure)), measure
+    certificate = hm.certify(measure, tolerance)
+    return documents.measure_document(measure, certificate, hm.total_mass(measure)), measure
 
 
 def _measure_doc(nodes_list, param, grid_size=512, tolerance=1e-8):
@@ -214,14 +214,14 @@ class TestMeasureDocument:
         assert rebuilt.param is None
         assert len(rebuilt.atoms) == 1
         assert rebuilt.atoms[0].weight == measure.atoms[0].weight
-        assert hm.verify_membership(rebuilt, 1e-10).passed
+        assert hm.certify(rebuilt, 1e-10).gram_passed
 
     def test_round_trip_absolutely_continuous(self):
         doc, measure = _measure_doc([0.4, -0.2j], hm.Constant(0.3j))
         text = documents.dumps_document(doc)
         rebuilt, _ = documents.measure_from_document(json.loads(text))
         assert np.array_equal(rebuilt.density, measure.density)
-        assert hm.verify_membership(rebuilt, 1e-8).passed
+        assert hm.certify(rebuilt, 1e-8).gram_passed
 
     def test_unknown_field_rejected(self):
         doc, _ = _measure_doc([0.5], hm.Constant(0.5))
@@ -316,9 +316,9 @@ class TestMeasureDocument:
         doc["atoms"][0] = [doc["atoms"][0][0], 1.0]
         doc["mass"] = 1.0
         rebuilt, _ = documents.measure_from_document(doc)
-        report = hm.verify_membership(rebuilt, 1e-6)
-        assert not report.passed
-        assert report.max_abs_error == pytest.approx(8 / 9, abs=1e-10)
+        certificate = hm.certify(rebuilt, 1e-6)
+        assert not certificate.gram_passed
+        assert certificate.gram_error == pytest.approx(8 / 9, abs=1e-10)
 
 
 KINDS = ("absolutely-continuous", "purely-atomic", "mixed")

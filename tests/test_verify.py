@@ -1,12 +1,13 @@
 """Gram certification, phi-conditions, mass bounds, extremal measures."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import herglotz_measures as hm
-from herglotz_measures import verify
+from herglotz_measures import documents, verify
 from herglotz_measures.measure import CircleGrid, MeasureKind
 import conftest
 from conftest import (
@@ -69,26 +70,26 @@ class TestGramTarget:
 class TestGramCompute:
     def test_lebesgue_zero_node(self):
         measure = hm.build_measure(hm.validate_nodes([0]), hm.Constant(0.0), 512)
-        assert hm.gram_compute(measure) == pytest.approx(np.array([[1.0]]), abs=1e-14)
+        assert hm.certify(measure, 1e-8).computed == pytest.approx(np.array([[1.0]]), abs=1e-14)
 
     def test_extremal_atoms(self):
         plus = hm.build_measure(hm.validate_nodes([0.5]), hm.Constant(1.0))
-        assert hm.gram_compute(plus) == pytest.approx(np.array([[4 / 3]]), abs=1e-12)
+        assert hm.certify(plus, 1e-8).computed == pytest.approx(np.array([[4 / 3]]), abs=1e-12)
         minus = hm.build_measure(hm.validate_nodes([0.5]), hm.Constant(-1.0))
-        assert hm.gram_compute(minus) == pytest.approx(np.array([[4 / 3]]), abs=1e-12)
+        assert hm.certify(minus, 1e-8).computed == pytest.approx(np.array([[4 / 3]]), abs=1e-12)
 
     def test_hermitian_by_construction(self):
         rng = np.random.default_rng(32)
         nodes = random_nodes(rng, max_n=5)
         measure = hm.build_measure(nodes, random_contractive_param(rng), 2048)
-        gram = hm.gram_compute(measure)
+        gram = hm.certify(measure, 1e-8).computed
         assert np.array_equal(gram, gram.conj().T)
 
     def test_matches_generic_integration_route(self):
         rng = np.random.default_rng(33)
         nodes = random_nodes(rng, max_n=4)
         measure = hm.build_measure(nodes, random_contractive_param(rng), 2048)
-        gram = hm.gram_compute(measure)
+        gram = hm.certify(measure, 1e-8).computed
         for k, zk in enumerate(nodes.points):
             for l, zl in enumerate(nodes.points):
                 generic = conftest.integrate_against(
@@ -115,28 +116,31 @@ class TestGramAgainstDirectOracle:
             nodes = random_nodes(rng, max_n=6, radius=0.9)
             for param in (random_contractive_param(rng), random_inner_param(rng)):
                 measure = hm.build_measure(nodes, param, 4096)
-                assert np.max(np.abs(hm.gram_compute(measure) - oracle_gram(measure))) <= 1e-9
+                assert np.max(np.abs(hm.certify(measure, 1e-8).computed - oracle_gram(measure))) <= 1e-9
 
     @pytest.mark.parametrize("form", list(CLUSTERED_PARAMS))
     def test_clustered_nodes_near_circle(self, form):
         measure = hm.build_measure(CLUSTERED_NODES, CLUSTERED_PARAMS[form], 65536)
-        assert np.max(np.abs(hm.gram_compute(measure) - oracle_gram(measure))) <= 1e-9
-        phi = hm.check_phi_conditions(measure, 1e-8).phi_values
+        assert np.max(np.abs(hm.certify(measure, 1e-8).computed - oracle_gram(measure))) <= 1e-9
+        phi = hm.certify(measure, 1e-8).phi
         for value, z in zip(phi, CLUSTERED_NODES.points):
             assert abs(value - conftest.phi_sigma(measure, z)) <= 1e-12
 
     def test_certify_matches_separate_reports(self):
         rng = np.random.default_rng(37)
         measure = hm.build_measure(random_nodes(rng), random_contractive_param(rng), 2048)
-        gram, phi = hm.certify(measure, 1e-8)
-        assert np.array_equal(gram.computed, hm.verify_membership(measure, 1e-8).computed)
-        assert np.array_equal(phi.phi_values, hm.check_phi_conditions(measure, 1e-8).phi_values)
+        certificate = hm.certify(measure, 1e-8)
+        computed, target = certificate.computed, certificate.target
+        assert np.array_equal(target, hm.gram_target(measure.nodes))
+        assert np.array_equal(computed, verify._gram_from_phi(certificate.phi, target))
+        assert certificate.gram_error == np.max(np.abs(computed - target))
+        assert certificate.system == hm.solve_special_system(certificate.phi, tol=1e-8)
 
 
 def _exact_phi_error(measure, param):
     """Worst |phi(z_k) - (1 - i Im c(0))|; s(z_k) = 0 gives c(z_k) = 1, hence this exact value."""
     exact = 1.0 - 1j * conftest.caratheodory_eval(measure.nodes, param, 0j).imag
-    return float(np.max(np.abs(hm.check_phi_conditions(measure, 1e-8).phi_values - exact)))
+    return float(np.max(np.abs(hm.certify(measure, 1e-8).phi - exact)))
 
 
 #: Four nodes at |z| = 0.999, 0.7 rad apart.
@@ -166,7 +170,7 @@ class TestExactPhiOracle:
         param = CLUSTERED_PARAMS["scaled-blaschke"]
         measure = hm.build_measure(CLUSTERED_NODES, param, 65536)
         assert _exact_phi_error(measure, param) <= 1e-12
-        assert hm.verify_membership(measure, 1e-8).passed
+        assert hm.certify(measure, 1e-8).gram_passed
 
     @pytest.mark.xfail(
         strict=True, raises=hm.MassConsistencyFailure, reason="N = 4096 under-resolves h"
@@ -175,7 +179,7 @@ class TestExactPhiOracle:
         param = hm.Constant(0.5)
         measure = hm.build_measure(NEAR_CIRCLE_NODES, param, 4096)
         assert _exact_phi_error(measure, param) <= 1e-12
-        assert hm.verify_membership(measure, 1e-8).passed
+        assert hm.certify(measure, 1e-8).gram_passed
 
 
 def _random_density_measure(n, grid_size, seed):
@@ -232,7 +236,7 @@ class TestBlockedPhiPass:
         measure = _random_density_measure(128, 65536, seed=5)
         tracemalloc.start()
         try:
-            hm.verify_membership(measure, 1e-8)
+            hm.certify(measure, 1e-8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -240,7 +244,7 @@ class TestBlockedPhiPass:
 
 
 class TestSweepRingRows:
-    """A sweep's |gamma| = 1 rows, from one shared atom solve, equal build_measure + verify_membership."""
+    """A sweep's |gamma| = 1 rows, from one shared atom solve, equal build_measure + certify."""
 
     @pytest.mark.parametrize("grid_size", [4096, 65536])
     @pytest.mark.parametrize("n", [8, 32])
@@ -254,56 +258,56 @@ class TestSweepRingRows:
         assert len(rows) == len(gammas)
         for gamma, (mass, report) in zip(gammas, rows):
             built = hm.build_measure(nodes, hm.Constant(gamma), grid_size)
-            expected = hm.verify_membership(built, 1e-8)
+            expected = hm.certify(built, 1e-8)
             assert repr(mass) == repr(built.mass)
             assert np.array_equal(report.computed, expected.computed)
             assert np.array_equal(report.target, expected.target)
-            assert repr(report.max_abs_error) == repr(expected.max_abs_error)
-            assert report.passed == expected.passed
+            assert repr(report.gram_error) == repr(expected.gram_error)
+            assert report.gram_passed == expected.gram_passed
 
 
 class TestVerifyMembership:
     def test_lebesgue_passes(self):
         measure = hm.build_measure(hm.validate_nodes([0.3, -0.4j]), hm.Constant(0.0))
-        report = hm.verify_membership(measure, 1e-10)
-        assert report.passed
-        assert report.max_abs_error <= 1e-12
+        report = hm.certify(measure, 1e-10)
+        assert report.gram_passed
+        assert report.gram_error <= 1e-12
 
     def test_atomic_extremal_passes(self):
         measure = hm.build_measure(hm.validate_nodes([0.5]), hm.Constant(1.0))
-        assert hm.verify_membership(measure, 1e-10).passed
+        assert hm.certify(measure, 1e-10).gram_passed
 
     def test_wrong_atom_weight_fails(self):
         measure = _single_atom_measure(hm.validate_nodes([0.5]), 0.0, 1.0)
-        report = hm.verify_membership(measure, 1e-6)
-        assert not report.passed
+        report = hm.certify(measure, 1e-6)
+        assert not report.gram_passed
         assert report.computed[0, 0] == pytest.approx(4.0)
-        assert report.max_abs_error == pytest.approx(4.0 - 4 / 3)
+        assert report.gram_error == pytest.approx(4.0 - 4 / 3)
 
     def test_tolerance_must_be_positive(self):
         measure = hm.build_measure(hm.validate_nodes([0.5]), hm.Constant(0.0), 512)
         with pytest.raises(ValueError):
-            hm.verify_membership(measure, 0.0)
+            hm.certify(measure, 0.0)
 
 
 class TestCheckPhiConditions:
     def test_lebesgue_beta_zero(self):
         measure = hm.build_measure(hm.validate_nodes([0.3, 0.2j]), hm.Constant(0.0), 512)
-        report = hm.check_phi_conditions(measure, 1e-8)
-        assert report.passed
-        assert report.beta == pytest.approx(0.0, abs=1e-13)
+        report = hm.certify(measure, 1e-8)
+        assert report.system.solvable
+        assert report.system.beta == pytest.approx(0.0, abs=1e-13)
 
     def test_extremal_atomic_beta_zero(self):
         measure = hm.build_measure(hm.validate_nodes([0.5]), hm.Constant(1.0))
-        report = hm.check_phi_conditions(measure, 1e-8)
-        assert report.passed
-        assert report.beta == pytest.approx(0.0, abs=1e-11)
+        report = hm.certify(measure, 1e-8)
+        assert report.system.solvable
+        assert report.system.beta == pytest.approx(0.0, abs=1e-11)
 
     def test_scaled_lebesgue_fails_with_residual_two(self):
         measure = _scaled_lebesgue(hm.validate_nodes([0.5]), 2.0)
-        report = hm.check_phi_conditions(measure, 1e-8)
-        assert not report.passed
-        assert report.residual == pytest.approx(2.0, abs=1e-12)
+        report = hm.certify(measure, 1e-8)
+        assert not report.system.solvable
+        assert report.system.residual == pytest.approx(2.0, abs=1e-12)
 
     def test_agreement_with_membership(self):
         rng = np.random.default_rng(34)
@@ -313,9 +317,33 @@ class TestCheckPhiConditions:
             cases.append(hm.build_measure(nodes, random_contractive_param(rng), 2048))
             cases.append(_scaled_lebesgue(nodes, float(rng.choice([0.5, 2.0]))))
         for measure in cases:
-            gram_ok = hm.verify_membership(measure, 1e-8).passed
-            phi_ok = hm.check_phi_conditions(measure, 1e-8).passed
+            gram_ok = hm.certify(measure, 1e-8).gram_passed
+            phi_ok = hm.certify(measure, 1e-8).system.solvable
             assert gram_ok == phi_ok
+
+
+class TestReplayNames:
+    """verify_membership and check_phi_conditions, which perfbench/replay.py calls."""
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["member", "scaled"])
+    def test_old_report_fields_read_the_certificate(self, factor):
+        measure = _scaled_lebesgue(hm.validate_nodes([0.5, 0.2j]), factor)
+        certificate = hm.certify(measure, 1e-8)
+        gram = verify.verify_membership(measure, 1e-8)
+        phi = verify.check_phi_conditions(measure, 1e-8)
+        assert gram.passed == certificate.gram_passed
+        assert gram.max_abs_error == certificate.gram_error
+        assert phi.passed == certificate.system.solvable
+        assert phi.residual == certificate.system.residual
+        report = documents.verify_report_document("m.doc", gram, phi, measure.mass)
+        assert report == documents.verify_report_document(
+            "m.doc", certificate, certificate, measure.mass
+        )
+        # measure_document needs a parameter to describe; the scaled density has none.
+        measure = dataclasses.replace(measure, param=hm.Constant(0.0))
+        assert documents.dumps_document(
+            documents.measure_document(measure, gram, measure.mass)
+        ) == documents.dumps_document(documents.measure_document(measure, certificate, measure.mass))
 
 
 class TestMassBounds:
@@ -353,8 +381,8 @@ class TestExtremalMeasures:
         plus, minus = hm.extremal_measures(nodes)
         assert hm.total_mass(plus) == pytest.approx(upper, abs=1e-10)
         assert hm.total_mass(minus) == pytest.approx(lower, abs=1e-10)
-        assert hm.verify_membership(plus, 1e-10).passed
-        assert hm.verify_membership(minus, 1e-10).passed
+        assert hm.certify(plus, 1e-10).gram_passed
+        assert hm.certify(minus, 1e-10).gram_passed
 
     def test_mass_report_flags(self):
         plus, minus = hm.extremal_measures(hm.validate_nodes([0.5]))
@@ -405,7 +433,6 @@ class TestConvexity:
             ),
             kind=MeasureKind.MIXED,
         )
-        report = hm.verify_membership(mixture, 1e-8)
-        assert report.passed
-        gram_mix = 0.5 * hm.gram_compute(ac) + 0.5 * hm.gram_compute(atomic)
-        assert hm.gram_compute(mixture) == pytest.approx(gram_mix, abs=1e-14)
+        assert hm.certify(mixture, 1e-8).gram_passed
+        gram_mix = 0.5 * hm.certify(ac, 1e-8).computed + 0.5 * hm.certify(atomic, 1e-8).computed
+        assert hm.certify(mixture, 1e-8).computed == pytest.approx(gram_mix, abs=1e-14)
