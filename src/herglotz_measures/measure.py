@@ -16,14 +16,17 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 
 import numpy as np
 
 from .analytic import (
     NodeSet,
     SchurParameter,
+    blaschke_eval,
     blaschke_values,
     herglotz_eval,
+    herglotz_from_s,
     herglotz_samples,
 )
 from .errors import (
@@ -52,6 +55,11 @@ NEWTON_MAX_ITER = 50
 
 #: Angles at which the boundary phase is scanned for root brackets.
 _ATOM_SCAN_SIZE = 4096
+
+#: Entries of a sweep's row block of either kind, at least one row: R * max(N, n^2) <= this for s
+#: and Gram matrices (4 rows at N = 4096, n <= 64), R * d <= this for atoms.  In three perfbench
+#: sweep passes 2**13 cost 9-16% more CPU, and 2**15 a few % less but 0.8-1 MB more peak RSS.
+_SWEEP_BLOCK_ELEMENTS = 1 << 14
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -194,22 +202,27 @@ def _lift_sums(zeros: np.ndarray, theta: np.ndarray, slope: bool = True):
     return args, slopes
 
 
-def solve_atoms(gammas, zeros: np.ndarray) -> list:
+def _phase_scan(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_atoms's ``scan``: the angles that bracket its roots, and the Arg sum at them."""
+    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
+    return scan, _lift_sums(zeros, scan, slope=False)[0]
+
+
+def solve_atoms(gammas, zeros: np.ndarray, scan: tuple | None = None) -> list:
     """Atoms of s = gamma * B_zeros for each unimodular gamma, solved as one array.
 
     Each entry is the atom tuple of its gamma, or the PhaseWindingMismatch that
     row raises.  The lift Phi (see _lift_sums) increases by 2*pi*d over the
     circle, so the atoms are the d solutions of Phi(theta) = 2*pi*m.  One scan
     of Phi brackets every solution, safeguarded Newton refines all rows at once,
-    and the weight 1/(t0 s'(t0)) equals 1/Phi'(theta0).  A row stops after the
+    and the weight 1/(t0 s'(t0)) equals 1/Phi'(theta0).  A row freezes after the
     step that follows its own convergence, so it ends as a lone solve would.
     """
     degree = zeros.size
     offsets = np.array([[_lift_offset(gamma, zeros)] for gamma in gammas])
 
     # Phi is exact and increasing, so a scan bracket holds its root at any scan resolution.
-    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
-    scan_args, _ = _lift_sums(zeros, scan, slope=False)
+    scan, scan_args = _phase_scan(zeros) if scan is None else scan
     targets = np.empty((len(offsets), degree))
     idx = np.empty(targets.shape, dtype=np.intp)
     # Row by row, in the operation order of a one-row solve, so that every row ends
@@ -220,30 +233,26 @@ def solve_atoms(gammas, zeros: np.ndarray) -> list:
         idx[row] = np.clip(np.searchsorted(scan_phase, targets[row]), 1, _ATOM_SCAN_SIZE)
     lo, hi = scan[idx - 1], scan[idx]
     theta = 0.5 * (lo + hi)
-    active, t = np.arange(len(theta)), theta  # rows still iterating, and their angles
+    active = np.ones(len(theta), dtype=bool)  # rows still iterating
     for _ in range(NEWTON_MAX_ITER):
-        args, slope = _lift_sums(zeros, t)
-        defect = offsets + degree * t + 2.0 * args - targets
+        args, slope = _lift_sums(zeros, theta)
+        defect = offsets + degree * theta + 2.0 * args - targets
         # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
         converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
-        lo = np.where(defect < 0.0, t, lo)
-        hi = np.where(defect > 0.0, t, hi)
-        step = t - defect / slope
-        t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        done = converged.all(axis=1)
-        if done.any():  # those rows stop: the step just taken polishes them below the floor
-            theta[active[done]] = t[done]
-            keep = ~done
-            active, t, lo, hi, offsets, targets = (
-                a[keep] for a in (active, t, lo, hi, offsets, targets)
-            )
-            if not active.size:
-                break
+        lo = np.where(defect < 0.0, theta, lo)
+        hi = np.where(defect > 0.0, theta, hi)
+        step = theta - defect / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        theta = np.where(active[:, None], step, theta)
+        # Converged rows freeze: the step just taken polishes them below the floor.
+        active &= ~converged.all(axis=1)
+        if not active.any():
+            break
 
     _, slope = _lift_sums(zeros, theta)
     rows = []
     for row in range(len(theta)):
-        if row in active:
+        if active[row]:
             rows.append(PhaseWindingMismatch(
                 f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
                 f"at degree {degree}"
@@ -266,34 +275,35 @@ def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     """
     if not param.is_inner:
         raise NotInnerParameter("atom extraction requires an inner parameter")
-    zeros = np.asarray(nodes.points + param.zeros, dtype=complex)
-    (atoms,) = solve_atoms((param.gamma,), zeros)
+    (atoms,) = solve_atoms((param.gamma,), np.asarray(nodes.points + param.zeros, dtype=complex))
     if isinstance(atoms, PhaseWindingMismatch):
         raise atoms
     return atoms
 
 
-def assemble_measure(
-    nodes: NodeSet,
-    param: SchurParameter,
-    grid: CircleGrid,
-    atoms: tuple[Atom, ...] = (),
-) -> GeneratedMeasure:
-    """The measure of the parameter on the grid: the given atoms if it is inner, else its density.
+def inner_measures(nodes: NodeSet, params, grid: CircleGrid, b0: complex | None = None):
+    """Yield the checked, purely atomic measure of each of one or more inner ``params`` in order.
 
-    Raises UnsupportedMixedCase when the density of a non-inner parameter comes
-    within the singularity threshold of s = 1, and ParameterNotCertified when a
-    density sample is negative (see check_density).  The mass is not checked here.
+    The parameters share the zeros of the first, so one phase scan serves them all,
+    and their rows are solved in blocks of at most _SWEEP_BLOCK_ELEMENTS atoms.  Each
+    row raises what build_measure raises for it: its PhaseWindingMismatch, or a
+    MassConsistencyFailure against h(0) = herglotz_from_s(B(0) * omega(0)), where
+    ``b0`` is B(0) of the nodes when the caller already has it.
     """
-    if param.is_inner:
-        density, kind = np.zeros(grid.size), MeasureKind.PURELY_ATOMIC
-    else:
-        density, flagged = boundary_density(nodes, param, grid)
-        check_density(density, int(flagged.sum()), int(np.argmin(density)))
-        kind = MeasureKind.ABSOLUTELY_CONTINUOUS
-    return GeneratedMeasure(
-        nodes=nodes, param=param, grid=grid, density=density, atoms=atoms, kind=kind
-    )
+    params = iter(params)
+    first = next(params)
+    zeros = np.asarray(nodes.points + first.zeros, dtype=complex)
+    scan, rows = _phase_scan(zeros), max(1, _SWEEP_BLOCK_ELEMENTS // zeros.size)
+    b0 = blaschke_eval(nodes, 0j) if b0 is None else b0
+    density = np.zeros(grid.size)  # read-only once in a measure, so every row shares it
+    params = chain((first,), params)
+    while block := list(islice(params, rows)):
+        for param, atoms in zip(block, solve_atoms([p.gamma for p in block], zeros, scan)):
+            if isinstance(atoms, PhaseWindingMismatch):
+                raise atoms
+            row = GeneratedMeasure(nodes, param, grid, density, atoms, MeasureKind.PURELY_ATOMIC)
+            check_mass(row.mass, herglotz_from_s(b0 * param.values(0j)))
+            yield row
 
 
 def check_density(density: np.ndarray, flagged: int, low: int) -> None:
@@ -315,13 +325,16 @@ def build_measure(
 ) -> GeneratedMeasure:
     """Recover the representing measure of the parameter: atoms or density.
 
-    The result is cross-checked: its quadrature mass must match the Herglotz
-    value at the origin (MassConsistencyFailure otherwise).
+    The result is cross-checked: its quadrature mass must match the Herglotz value at
+    the origin (MassConsistencyFailure otherwise), and a density must pass check_density.
     """
     check_grid_size(grid_size)
     grid = CircleGrid(grid_size)
-    atoms = find_atoms(nodes, param) if param.is_inner else ()
-    measure = assemble_measure(nodes, param, grid, atoms)
+    if param.is_inner:
+        return next(inner_measures(nodes, (param,), grid))
+    density, flagged = boundary_density(nodes, param, grid)
+    check_density(density, int(flagged.sum()), int(np.argmin(density)))
+    measure = GeneratedMeasure(nodes, param, grid, density, (), MeasureKind.ABSOLUTELY_CONTINUOUS)
     total_mass(measure)
     return measure
 

@@ -22,14 +22,14 @@ the same blocks as slices of it.  Its contractive rows go in row blocks:
 s = B * gamma (B first, as in generate), the density, its mean and least
 sample, the weights and the Gram errors are one array pass per block, while
 phi and h(0) (a numpy scalar expression) stay per row, so each row equals what
-generate computes, bit for bit.
+generate computes, bit for bit; its |gamma| = 1 rows come from measure.inner_measures.
 The direct route, one quadrature of 1/((t - z') conj(t - z'')) per pair,
 lives only in the tests, as their Gram oracle.
 
 Both certificates judge the sampled measure they are given.  The boundary
 sup of a rational parameter is a maximum over 8192 samples, a sampled check
 and not a bound; a negative density sample proves |omega| > 1 there, so
-``assemble_measure`` refuses it and ``generate`` never certifies a signed measure.
+``check_density`` refuses it and ``generate`` never certifies a signed measure.
 """
 
 from __future__ import annotations
@@ -51,17 +51,15 @@ from .analytic import (
     mass_bound_base,
     solve_special_system,
 )
-from .errors import PhaseWindingMismatch
+from . import measure as _measure
 from .measure import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     GeneratedMeasure,
-    assemble_measure,
-    build_measure,
     check_density,
     check_grid_size,
     check_mass,
-    solve_atoms,
+    inner_measures,
 )
 
 #: Entries of one block of the phi pass's Cauchy matrix (complex, so 2 MiB).  Memory
@@ -73,11 +71,6 @@ _PHI_BLOCK_ELEMENTS = 1 << 17
 #: Largest whole n x N Cauchy matrix (8 MiB) that sweep_reports builds once and slices
 #: into the phi pass's blocks for every row; above it each row builds its own blocks.
 _SWEEP_REUSE_ELEMENTS = 1 << 19
-#: Entries of a sweep's row block: R rows of N samples of s and of n x n Gram matrices,
-#: R * max(N, n^2) <= this (4 rows at N = 4096, n <= 64), or one row.  Over three perfbench
-#: sweep passes 2**13 took 9-16% more CPU, and 2**15 at most a few % less but raised the
-#: peak RSS from 40.4 to 41.2-41.4 MB.
-_SWEEP_BLOCK_ELEMENTS = 1 << 14
 
 
 def _cauchy_matrix(points: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -230,11 +223,9 @@ def mass_bounds(nodes: NodeSet) -> tuple[float, float]:
 def extremal_measures(
     nodes: NodeSet, grid_size: int = DEFAULT_GRID_SIZE
 ) -> tuple[GeneratedMeasure, GeneratedMeasure]:
-    """The two extremal measures (omega = +1 maximal mass, omega = -1 minimal)."""
-    return (
-        build_measure(nodes, Constant(1.0), grid_size),
-        build_measure(nodes, Constant(-1.0), grid_size),
-    )
+    """The extremal measures build_measure(nodes, Constant(+-1.0)): +1 maximal, -1 minimal mass."""
+    check_grid_size(grid_size)
+    return tuple(inner_measures(nodes, (Constant(1.0), Constant(-1.0)), CircleGrid(grid_size)))
 
 
 def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
@@ -242,10 +233,10 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
 
     ``gammas`` is a sequence of complex numbers in the closed disc.  Raises what
     build_measure raises for the first failing gamma.  The node-only work runs once
-    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix),
-    and each run of consecutive |gamma| = 1 rows shares one atom solve.  Runs of
+    per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix).
+    Each run of consecutive |gamma| = 1 rows goes through inner_measures, and runs of
     contractive rows go in row blocks of _SWEEP_BLOCK_ELEMENTS entries (see
-    _sweep_block), and a block's rows are yielded once all of them have passed their checks.
+    _sweep_block), whose rows are yielded once all of them have passed their checks.
     """
     check_grid_size(grid_size)
     grid = CircleGrid(grid_size)
@@ -256,7 +247,7 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     # Built once for every row only up to the reuse limit; above that each row builds its blocks.
     reuse = z.size * grid.size <= _SWEEP_REUSE_ELEMENTS
     cauchy = _cauchy_matrix(grid.points, z) if reuse else None
-    rows = max(1, _SWEEP_BLOCK_ELEMENTS // max(grid.size, z.size**2))
+    rows = max(1, _measure._SWEEP_BLOCK_ELEMENTS // max(grid.size, z.size**2))
     # s of every block, then its weights, in one buffer: a fresh 256 KiB one per block was
     # trimmed from the heap and page-faulted back by the next, which cost a one-sweep
     # process its gain.
@@ -270,12 +261,7 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
                     z, block, b0, blaschke, grid, target, cauchy, tolerance, work
                 )
             continue
-        params = list(run)
-        for param, atoms in zip(params, solve_atoms([p.gamma for p in params], z)):
-            if isinstance(atoms, PhaseWindingMismatch):
-                raise atoms
-            measure = assemble_measure(nodes, param, grid, atoms)
-            check_mass(measure.mass, herglotz_from_s(b0 * param.gamma))
+        for measure in inner_measures(nodes, run, grid, b0):
             yield measure.mass, _certificates(_node_phi(measure)[None, :], target, tolerance)[0]
 
 

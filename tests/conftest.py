@@ -141,6 +141,61 @@ def oracle_atom_angles(gamma: complex, zeros) -> np.ndarray:
     return np.angle(roots) % TWO_PI
 
 
+def compressed_shift(zeros) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_B of the Blaschke product with these zeros, and x, y with I - SS* = xx*, I - S*S = yy*.
+
+    In the Takenaka-Malmquist basis S is lower triangular: S_kk = a_k and, for j > k,
+    S_jk = sqrt(1 - |a_j|^2) sqrt(1 - |a_k|^2) prod_{k<m<j} (-conj a_m).  Row j's products
+    are one cumulative product from the diagonal leftwards.  Background: Garcia-Mashreghi-Ross,
+    *Introduction to Model Spaces and their Operators*, CUP 2016, ch. 11.
+    """
+    a = np.asarray(zeros, dtype=complex)
+    d = a.size
+    root = np.sqrt(1.0 - np.abs(a) ** 2)
+    factors = np.ones((d, d), dtype=complex)  # factors[j, k] = -conj a_{k+1} for k < j - 1
+    rows, cols = np.tril_indices(d, -2)
+    factors[rows, cols] = -a[cols + 1].conj()
+    products = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]
+    shift = np.tril(products * root[:, None] * root[None, :], -1) + np.diag(a)
+    x = root * np.concatenate(([1.0], np.cumprod(-a[:-1].conj())))
+    y = root * np.concatenate((np.cumprod(-a[:0:-1])[::-1], [1.0]))
+    return shift, x, y
+
+
+def clark_unitary(zeros, u: complex) -> np.ndarray:
+    """U = S + lam x y* (see compressed_shift), unitary for lam = (u - mu)/|x|^2 with |u| = 1.
+
+    S* x = conj(mu) y with mu = x* S y / |x|^2, so U*U = I on exactly that circle of lam.
+    """
+    shift, x, y = compressed_shift(zeros)
+    norm = np.vdot(x, x).real
+    mu = np.vdot(x, shift @ y) / norm
+    return shift + (u - mu) / norm * np.outer(x, y.conj())
+
+
+def oracle_clark_angles(gamma: complex, zeros, fit_tol: float = 1e-12) -> np.ndarray:
+    """Sorted angles in [0, 2 pi) of the d solutions of gamma * B(t) = 1, as eigen-angles of U.
+
+    The eigenvalues of clark_unitary(zeros, u) are the d points where B = alpha(u), and
+    u -> alpha is a Mobius map (the atoms of a Clark measure).  It is fitted from three
+    values of u, checked at a fourth to ``fit_tol``, and inverted at alpha = conj(gamma).
+    U is normal, so each eigenvalue is within ||dU|| of an exact one (Bauer-Fike).
+    """
+
+    def alpha(u):  # B is the same at every eigenvalue; the mean damps its rounding
+        return complex(np.mean(oracle_blaschke(zeros, np.linalg.eigvals(clark_unitary(zeros, u)))))
+
+    samples = np.exp(1j * np.array([0.0, 2.0, 4.0]))
+    rows = [[u, 1.0, -value * u, -value] for u, value in zip(samples, map(alpha, samples))]
+    p, q, r, s = np.linalg.svd(np.array(rows))[2][-1].conj()  # alpha = (p u + q)/(r u + s)
+    check = np.exp(5.5j)
+    assert abs((p * check + q) / (r * check + s) - alpha(check)) <= fit_tol
+    w = complex(gamma).conjugate()
+    u = (s * w - q) / (p - r * w)
+    eigenvalues = np.linalg.eigvals(clark_unitary(zeros, u / abs(u)))
+    return np.sort(np.angle(eigenvalues) % TWO_PI)
+
+
 def oracle_integral(measure: hm.GeneratedMeasure, f) -> complex:
     """Trapezoid plus atom sums, written independently of the package kernels."""
     total = 0.0 + 0.0j

@@ -280,6 +280,30 @@ class TestBounds:
         config = self._bounds_config(tmp_path, [[1.0, 0]])
         assert main(["bounds", "--config", config]) == 2
 
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_one_grid_and_one_atom_solve(self, tmp_path, monkeypatch, n):
+        # Both extremal measures come from one two-row solve on one grid.
+        grids, solves = [], []
+        post_init, solve_atoms = measure.CircleGrid.__post_init__, measure.solve_atoms
+
+        def counting_post_init(grid):
+            grids.append(grid.size)
+            post_init(grid)
+
+        def counting_solve(gammas, *args):
+            solves.append(len(gammas))
+            return solve_atoms(gammas, *args)
+
+        monkeypatch.setattr(measure.CircleGrid, "__post_init__", counting_post_init)
+        monkeypatch.setattr(measure, "solve_atoms", counting_solve)
+        rng = np.random.default_rng(n)
+        z = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        z[0] = 0.99 * np.exp(1j * rng.uniform(0.0, TWO_PI))
+        config = self._bounds_config(tmp_path, [[p.real, p.imag] for p in z])
+        assert main(["bounds", "--config", config]) == 0
+        assert grids == [4096]
+        assert solves == [2]
+
 
 class TestSweep:
     def _sweep_config(self, tmp_path, nodes, radius_steps, angle_steps, **extra):
@@ -428,7 +452,7 @@ class TestSweep:
         # N = 4096 and of one row above; three-row blocks end with a ragged block of 2.  From
         # N = 16384 on, omega * B differs from B * omega in the last bits of some of these rows.
         if block_rows is not None:
-            monkeypatch.setattr(verify, "_SWEEP_BLOCK_ELEMENTS", block_rows * grid_size)
+            monkeypatch.setattr(measure, "_SWEEP_BLOCK_ELEMENTS", block_rows * grid_size)
         nodes = hm.validate_nodes([0.5 + 0.1j, -0.3 + 0.6j])
         code, err, (rows, expected_err) = self._sweep_and_reference(
             tmp_path, capsys, nodes, (4, 8), grid_size
@@ -437,7 +461,7 @@ class TestSweep:
         assert self._rows(tmp_path) == rows
 
     def _assert_failing_sweep_reports_first_failing_gamma(self, tmp_path, capsys):
-        rows_per_block = verify._SWEEP_BLOCK_ELEMENTS // 4096
+        rows_per_block = measure._SWEEP_BLOCK_ELEMENTS // 4096
         rng = np.random.default_rng(0)
         radius, angle = 0.9 * np.sqrt(rng.uniform(0, 1, 8)), rng.uniform(0, TWO_PI, 8)
         nodes = hm.validate_nodes(radius * np.exp(1j * angle))
@@ -456,7 +480,7 @@ class TestSweep:
         self._assert_failing_sweep_reports_first_failing_gamma(tmp_path, capsys)
 
     def test_failure_inside_a_three_row_block(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "_SWEEP_BLOCK_ELEMENTS", 3 * 4096)
+        monkeypatch.setattr(measure, "_SWEEP_BLOCK_ELEMENTS", 3 * 4096)
         self._assert_failing_sweep_reports_first_failing_gamma(tmp_path, capsys)
 
 

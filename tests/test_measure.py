@@ -192,6 +192,67 @@ class TestFindAtoms:
                 assert row == hm.find_atoms(nodes, hm.Constant(gamma))
 
 
+@pytest.mark.parametrize("d", [32, 128])
+class TestClarkOracle:
+    """Atom angles against the eigen-angles of the unitary completion of S_B (conftest).
+
+    The zeros reach |a| = 0.99, where companion roots lose the accuracy this needs.
+    """
+
+    @staticmethod
+    def _nodes(d):
+        rng = np.random.default_rng(d)
+        zeros = 0.99 * np.sqrt(rng.uniform(0, 1, d)) * np.exp(1j * rng.uniform(0, TWO_PI, d))
+        zeros[0] = 0.99 * np.exp(1j * rng.uniform(0, TWO_PI))
+        return hm.validate_nodes(zeros)
+
+    @staticmethod
+    def _assert_oracle_angles(gamma, atoms, nodes):
+        angles = np.array([a.angle for a in atoms])
+        expected = conftest.oracle_clark_angles(gamma, nodes.points)
+        gaps = np.abs(np.angle(np.exp(1j * (angles[:, None] - expected[None, :]))))
+        assert angles.size == expected.size == nodes.n
+        assert gaps.min(axis=0).max() < 1e-13
+        assert gaps.min(axis=1).max() < 1e-13
+
+    def test_completion_is_unitary(self, d):
+        zeros = self._nodes(d).points
+        shift, x, y = conftest.compressed_shift(zeros)
+        eye = np.eye(d)
+        assert np.abs(eye - shift @ shift.conj().T - np.outer(x, x.conj())).max() < 1e-14
+        assert np.abs(eye - shift.conj().T @ shift - np.outer(y, y.conj())).max() < 1e-14
+        unitary = conftest.clark_unitary(zeros, np.exp(0.3j))
+        assert np.abs(unitary.conj().T @ unitary - eye).max() < 1e-13
+
+    def test_lone_row(self, d):
+        nodes = self._nodes(d)
+        gamma = hm.Constant(complex(np.exp(0.7j))).gamma
+        self._assert_oracle_angles(gamma, hm.find_atoms(nodes, hm.Constant(gamma)), nodes)
+
+    def test_bounds_pair(self, d):
+        nodes = self._nodes(d)
+        for gamma, extremal in zip((1.0, -1.0), hm.extremal_measures(nodes)):
+            self._assert_oracle_angles(gamma, extremal.atoms, nodes)
+
+    def test_ring_split_over_blocks(self, d, monkeypatch):
+        # Three rows of d atoms per block: the ring of 8 takes blocks of 3, 3 and 2 rows.
+        monkeypatch.setattr(measure, "_SWEEP_BLOCK_ELEMENTS", 3 * d)
+        solves = []
+        solve_atoms = measure.solve_atoms
+
+        def counting_solve(gammas, *args):
+            solves.append(len(gammas))
+            return solve_atoms(gammas, *args)
+
+        monkeypatch.setattr(measure, "solve_atoms", counting_solve)
+        nodes = self._nodes(d)
+        params = [hm.Constant(complex(np.exp(2j * math.pi * k / 8))) for k in range(8)]
+        rows = list(measure.inner_measures(nodes, params, CircleGrid(4096)))
+        assert solves == [3, 3, 2]
+        for param, row in zip(params, rows):
+            self._assert_oracle_angles(param.gamma, row.atoms, nodes)
+
+
 class TestBuildMeasure:
     def test_lebesgue_measure(self):
         measure = hm.build_measure(hm.validate_nodes([0.2, 0.4j]), hm.Constant(0.0), 1024)

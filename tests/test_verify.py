@@ -244,7 +244,23 @@ class TestBlockedPhiPass:
 
 
 class TestSweepRingRows:
-    """A sweep's |gamma| = 1 rows, from one shared atom solve, equal build_measure + certify."""
+    """A sweep's |gamma| = 1 rows, from blocked atom solves, equal build_measure + certify."""
+
+    def test_ring_peak_memory_is_bounded(self):
+        # Blocks of 2**14 atoms hold 512 of these 4096 rows at a time; one solve of the
+        # whole ring, holding every row's atoms and Newton arrays, peaks at 30 MiB.
+        rng = np.random.default_rng(32)
+        z = 0.6 * np.sqrt(rng.uniform(0.0, 1.0, 32)) * np.exp(1j * rng.uniform(0.0, TWO_PI, 32))
+        nodes = hm.validate_nodes(z)
+        gammas = [complex(np.cos(a), np.sin(a)) for a in TWO_PI * np.arange(4096) / 4096]
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in verify.sweep_reports(nodes, gammas, 4096, 1e-8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == 4096
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("grid_size", [4096, 65536])
     @pytest.mark.parametrize("n", [8, 32])
@@ -383,6 +399,20 @@ class TestExtremalMeasures:
         assert hm.total_mass(minus) == pytest.approx(lower, abs=1e-10)
         assert hm.certify(plus, 1e-10).gram_passed
         assert hm.certify(minus, 1e-10).gram_passed
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_pair_equals_lone_builds(self, n):
+        rng = np.random.default_rng(n)
+        z = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        z[0] = 0.99 * np.exp(1j * rng.uniform(0.0, TWO_PI))
+        nodes = hm.validate_nodes(z)
+        for extremal, gamma in zip(hm.extremal_measures(nodes), (1.0, -1.0)):
+            lone = hm.build_measure(nodes, hm.Constant(gamma))
+            assert [(a.angle, a.weight) for a in extremal.atoms] == [
+                (a.angle, a.weight) for a in lone.atoms
+            ]
+            assert repr(extremal.mass) == repr(lone.mass)
+            assert np.array_equal(hm.certify(extremal, 1e-8).phi, hm.certify(lone, 1e-8).phi)
 
     def test_mass_report_flags(self):
         plus, minus = hm.extremal_measures(hm.validate_nodes([0.5]))
