@@ -39,7 +39,7 @@ CERTIFICATION_HEADROOM = 1e-9
 #: |gamma| within this of 1 is snapped to exactly unimodular (inner form).
 UNIMODULAR_SNAP_TOL = 1e-12
 
-#: Default residual tolerance of the special system (matches quadrature accuracy).
+#: Default certification tolerance, of the special system and the CLI (matches quadrature accuracy).
 SPECIAL_SYSTEM_TOL = 1e-8
 
 #: Largest node count.  Past the bounded phi pass and the streamed writer, memory grows

@@ -7,37 +7,20 @@ input/schema failure.  All documents are deterministic given the config.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import documents
-from .analytic import NodeSet, SchurParameter, mass_bound_base
+from .analytic import SPECIAL_SYSTEM_TOL, NodeSet, SchurParameter, mass_bound_base
 from .errors import HerglotzMeasureError, SchemaError
 from .measure import DEFAULT_GRID_SIZE, TWO_PI, build_measure, check_grid_size
 from .verify import certify, extremal_measures, mass_bounds, sweep_reports
 
-DEFAULT_TOLERANCE = 1e-8
 #: Largest sweep table: 1 + (radius_steps - 1) * angle_steps rows.
 MAX_SWEEP_ROWS = 1 << 16
-
-_BASE_KEYS = {"command", "tolerance", "output_path"}
-_ALLOWED_KEYS = {
-    "generate": _BASE_KEYS | {"nodes", "parameter", "grid_size"},
-    "verify": _BASE_KEYS | {"measure_path"},
-    "bounds": _BASE_KEYS | {"nodes", "grid_size"},
-    "sweep": _BASE_KEYS | {"nodes", "grid_size", "sweep"},
-}
-_REQUIRED_KEYS = {
-    "generate": {"command", "nodes", "parameter"},
-    "verify": {"command", "measure_path"},
-    "bounds": {"command", "nodes"},
-    "sweep": {"command", "nodes", "sweep"},
-}
 
 
 @dataclass(frozen=True)
@@ -58,27 +41,11 @@ class JobConfig:
     sweep: SweepSpec | None = None
 
 
-def _load_raw_config(path: str) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config {path} is not parseable: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("config must be a key/value mapping")
-    return data
-
-
 def _parse_sweep_spec(data) -> SweepSpec:
     if not isinstance(data, dict):
         raise SchemaError("sweep spec must be a mapping")
-    unknown = set(data) - {"radius_steps", "angle_steps"}
-    if unknown:
-        raise SchemaError(f"sweep spec has unknown fields {sorted(unknown)}")
-    steps = [data.get(key) for key in ("radius_steps", "angle_steps")]
+    documents._require_keys(data, {"radius_steps", "angle_steps"}, "sweep spec")
+    steps = [data["radius_steps"], data["angle_steps"]]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in steps):
         raise SchemaError(f"sweep spec needs integer radius_steps/angle_steps, got {steps}")
     if min(steps) < 1:
@@ -90,29 +57,25 @@ def _parse_sweep_spec(data) -> SweepSpec:
 
 
 def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
-    """Validate a job description against the per-command schema.
+    """Validate a job description against its command's fields in _COMMANDS.
 
-    ``overrides`` carries the CLI flags (output, grid_size, tolerance),
-    which win over config fields.
+    The config is read as documents are.  ``overrides`` carries the CLI flags
+    (output, grid_size, tolerance), which win over config fields.
     """
-    data = _load_raw_config(path)
-    if "command" not in data:
-        raise SchemaError("config is missing the command field")
-    if data["command"] != command:
+    data = documents.read_document(path, "config")
+    # The command first: another command's config would otherwise read as unknown fields.
+    if data.get("command", command) != command:
         raise SchemaError(
             f"config command {data['command']!r} does not match subcommand {command!r}"
         )
-    allowed = _ALLOWED_KEYS[command]
-    unknown = set(data) - allowed
-    if unknown:
-        raise SchemaError(f"config has unknown fields {sorted(unknown)} for {command}")
-    missing = _REQUIRED_KEYS[command] - set(data)
-    if missing:
-        raise SchemaError(f"config is missing fields {sorted(missing)} for {command}")
+    _, required, optional, _ = _COMMANDS[command]
+    documents._require_keys(
+        data, {"command"} | required, f"{command} config", {"tolerance", "output_path"} | optional
+    )
 
     tolerance = overrides.get("tolerance")
     if tolerance is None:
-        tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
+        tolerance = data.get("tolerance", SPECIAL_SYSTEM_TOL)
     if type(tolerance) not in (int, float) or not 0 < tolerance <= sys.float_info.max:
         raise SchemaError(f"tolerance must be a positive finite number, got {tolerance!r}")
 
@@ -133,12 +96,10 @@ def load_job_config(path: str, command: str, overrides: dict) -> JobConfig:
     if not isinstance(output_path, str) or not output_path:
         raise SchemaError("an output path is required (config output_path or --output)")
 
-    nodes = None
-    if "nodes" in data:
-        nodes = documents.nodes_from_descriptor(data["nodes"])
-    parameter = None
-    if "parameter" in data:
-        parameter = documents.parameter_from_descriptor(data["parameter"])
+    nodes = documents.nodes_from_descriptor(data["nodes"]) if "nodes" in data else None
+    parameter = (
+        documents.parameter_from_descriptor(data["parameter"]) if "parameter" in data else None
+    )
     measure_path = data.get("measure_path")
     if command == "verify" and (not isinstance(measure_path, str) or not measure_path):
         raise SchemaError("verify needs a measure_path string")
@@ -207,7 +168,7 @@ def _extremal_block(measure, tolerance: float) -> tuple[dict, bool]:
     block = {
         "parameter": documents.parameter_descriptor(measure.param),
         "mass": measure.mass,
-        "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
+        "atoms": documents.atoms_descriptor(measure.atoms),
         "membership_passed": certificate.gram_passed,
         "max_abs_error": certificate.gram_error,
     }
@@ -237,7 +198,8 @@ def run_bounds(config: JobConfig) -> int:
 def run_sweep(config: JobConfig) -> int:
     spec = config.sweep
     radii = np.linspace(0.0, 1.0, spec.radius_steps)
-    angles = TWO_PI * np.arange(spec.angle_steps) / spec.angle_steps
+    # A one-radius sweep has only the gamma = 0 row, whatever its angle_steps.
+    angles = TWO_PI * np.arange(spec.angle_steps if spec.radius_steps > 1 else 1) / spec.angle_steps
     gammas = [
         complex(r * math.cos(angle), r * math.sin(angle))
         for r in radii
@@ -253,19 +215,17 @@ def run_sweep(config: JobConfig) -> int:
     return 0 if passed else 1
 
 
-_HANDLERS = {
-    "generate": run_generate,
-    "verify": run_verify,
-    "bounds": run_bounds,
-    "sweep": run_sweep,
-}
-
-
-_COMMAND_HELP = {
-    "generate": "build a measure from nodes and a Schur parameter",
-    "verify": "re-check a measure document against the Gram and phi conditions",
-    "bounds": "sharp mass bounds and the two extremal measures",
-    "sweep": "mass and Gram error over a disc grid of constant parameters",
+#: Each command's help text, the fields its config requires besides "command", the
+#: fields it may add to "tolerance" and "output_path", and its handler.
+_COMMANDS = {
+    "generate": ("build a measure from nodes and a Schur parameter",
+                 {"nodes", "parameter"}, {"grid_size"}, run_generate),
+    "verify": ("re-check a measure document against the Gram and phi conditions",
+               {"measure_path"}, set(), run_verify),
+    "bounds": ("sharp mass bounds and the two extremal measures",
+               {"nodes"}, {"grid_size"}, run_bounds),
+    "sweep": ("mass and Gram error over a disc grid of constant parameters",
+              {"nodes", "sweep"}, {"grid_size"}, run_sweep),
 }
 
 
@@ -280,9 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=tuple(_COMMAND_HELP),
+        choices=tuple(_COMMANDS),
         metavar="command",
-        help="; ".join(f"{name}: {text}" for name, text in _COMMAND_HELP.items()),
+        help="; ".join(f"{name}: {text}" for name, (text, *_) in _COMMANDS.items()),
     )
     parser.add_argument("--config", required=True, help="job description file (JSON)")
     parser.add_argument("--output", help="output document path (overrides config)")
@@ -293,18 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "output": args.output,
-        "grid_size": args.grid_size,
-        "tolerance": args.tolerance,
-    }
+    overrides = {"output": args.output, "grid_size": args.grid_size, "tolerance": args.tolerance}
     try:
         config = load_job_config(args.config, args.command, overrides)
     except HerglotzMeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[config.command](config)
+        return _COMMANDS[config.command][-1](config)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,17 +126,18 @@ def write_document(path, doc: dict) -> None:
     _write_text(path, _text(_document_parts(doc)), "document")
 
 
-def read_document(path) -> dict:
+def read_document(path, what: str = "document") -> dict:
+    """The JSON mapping in ``path``; ``what`` names the file in messages."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read document {path}: {exc}") from exc
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"document {path} is not parseable: {exc}") from exc
+        raise SchemaError(f"{what} {path} is not parseable: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SchemaError(f"document {path} is not a key/value mapping")
+        raise SchemaError(f"{what} {path} is not a key/value mapping")
     return doc
 
 
@@ -169,10 +170,11 @@ def _float_from(value, what: str) -> float:
         raise SchemaError(f"{what} is beyond the float range") from exc
 
 
-def _require_keys(data: dict, required: set[str], what: str) -> None:
+def _require_keys(data: dict, required: set[str], what: str, optional=frozenset()) -> None:
+    """Raise SchemaError unless every ``required`` key is there and the rest are ``optional``."""
     keys = set(data)
     missing = required - keys
-    unknown = keys - required
+    unknown = keys - required - optional
     if missing:
         raise SchemaError(f"{what} is missing fields {sorted(missing)}")
     if unknown:
@@ -226,6 +228,10 @@ def nodes_descriptor(nodes) -> list[list[float]]:
     return [_cpair(z) for z in nodes.points]
 
 
+def atoms_descriptor(atoms) -> list[list[float]]:
+    return [[float(a.angle), float(a.weight)] for a in atoms]
+
+
 def nodes_from_descriptor(data):
     if not isinstance(data, list) or not data:
         raise SchemaError("nodes must be a non-empty list of [re, im] pairs")
@@ -261,7 +267,7 @@ def measure_document(measure: GeneratedMeasure, certificate: Certificate, mass: 
         "grid_size": int(measure.grid.size),
         "kind": measure.kind.value,
         "mass": float(mass),
-        "atoms": [[float(a.angle), float(a.weight)] for a in measure.atoms],
+        "atoms": atoms_descriptor(measure.atoms),
         "density": np.column_stack((measure.grid.angles, measure.density)),
         "gram_report": gram_report_block(certificate),
     }

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, tee
 
 import numpy as np
 
@@ -202,108 +202,95 @@ def _lift_sums(zeros: np.ndarray, theta: np.ndarray, slope: bool = True):
     return args, slopes
 
 
-def _phase_scan(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """solve_atoms's ``scan``: the angles that bracket its roots, and the Arg sum at them."""
-    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
-    return scan, _lift_sums(zeros, scan, slope=False)[0]
+def solve_atoms(gammas, zeros: np.ndarray):
+    """Yield the atoms of s = gamma * B_zeros for each unimodular gamma, in order.
 
-
-def solve_atoms(gammas, zeros: np.ndarray, scan: tuple | None = None) -> list:
-    """Atoms of s = gamma * B_zeros for each unimodular gamma, solved as one array.
-
-    Each entry is the atom tuple of its gamma, or the PhaseWindingMismatch that
-    row raises.  The lift Phi (see _lift_sums) increases by 2*pi*d over the
-    circle, so the atoms are the d solutions of Phi(theta) = 2*pi*m.  One scan
-    of Phi brackets every solution, safeguarded Newton refines all rows at once,
-    and the weight 1/(t0 s'(t0)) equals 1/Phi'(theta0).  A row freezes after the
-    step that follows its own convergence, so it ends as a lone solve would.
+    The lift Phi (see _lift_sums) increases by 2*pi*d over the circle, so the
+    atoms are the d solutions of Phi(theta) = 2*pi*m.  One scan of Phi per call
+    brackets every solution; safeguarded Newton refines blocks of at most
+    _SWEEP_BLOCK_ELEMENTS // d rows at once, and the weight 1/(t0 s'(t0)) equals
+    1/Phi'(theta0).  A row freezes after the step that follows its own convergence,
+    so it ends as a lone solve would.  A row that does not converge, or whose atoms
+    are not d distinct angles, raises PhaseWindingMismatch when it is reached.
     """
     degree = zeros.size
-    offsets = np.array([[_lift_offset(gamma, zeros)] for gamma in gammas])
-
     # Phi is exact and increasing, so a scan bracket holds its root at any scan resolution.
-    scan, scan_args = _phase_scan(zeros) if scan is None else scan
-    targets = np.empty((len(offsets), degree))
-    idx = np.empty(targets.shape, dtype=np.intp)
-    # Row by row, in the operation order of a one-row solve, so that every row ends
-    # bit for bit as that solve would and memory stays O(scan) per row.
-    for row, offset in enumerate(offsets):
-        scan_phase = offset + degree * scan + 2.0 * scan_args
-        targets[row] = TWO_PI * (math.ceil(scan_phase[0] / TWO_PI) + np.arange(degree))
-        idx[row] = np.clip(np.searchsorted(scan_phase, targets[row]), 1, _ATOM_SCAN_SIZE)
-    lo, hi = scan[idx - 1], scan[idx]
-    theta = 0.5 * (lo + hi)
-    active = np.ones(len(theta), dtype=bool)  # rows still iterating
-    for _ in range(NEWTON_MAX_ITER):
-        args, slope = _lift_sums(zeros, theta)
-        defect = offsets + degree * theta + 2.0 * args - targets
-        # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
-        converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
-        lo = np.where(defect < 0.0, theta, lo)
-        hi = np.where(defect > 0.0, theta, hi)
-        step = theta - defect / slope
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        theta = np.where(active[:, None], step, theta)
-        # Converged rows freeze: the step just taken polishes them below the floor.
-        active &= ~converged.all(axis=1)
-        if not active.any():
-            break
+    scan = np.linspace(0.0, TWO_PI, _ATOM_SCAN_SIZE + 1)
+    scan_args = _lift_sums(zeros, scan, slope=False)[0]
+    gammas = iter(gammas)
+    while block := list(islice(gammas, max(1, _SWEEP_BLOCK_ELEMENTS // degree))):
+        offsets = np.array([[_lift_offset(gamma, zeros)] for gamma in block])
+        targets = np.empty((len(offsets), degree))
+        idx = np.empty(targets.shape, dtype=np.intp)
+        # Row by row, in the operation order of a one-row solve, so that every row ends
+        # bit for bit as that solve would and memory stays O(scan) per row.
+        for row, offset in enumerate(offsets):
+            scan_phase = offset + degree * scan + 2.0 * scan_args
+            targets[row] = TWO_PI * (math.ceil(scan_phase[0] / TWO_PI) + np.arange(degree))
+            idx[row] = np.clip(np.searchsorted(scan_phase, targets[row]), 1, _ATOM_SCAN_SIZE)
+        lo, hi = scan[idx - 1], scan[idx]
+        theta = 0.5 * (lo + hi)
+        active = np.ones(len(theta), dtype=bool)  # rows still iterating
+        for _ in range(NEWTON_MAX_ITER):
+            args, slope = _lift_sums(zeros, theta)
+            defect = offsets + degree * theta + 2.0 * args - targets
+            # Rounding floor of the defect: d + 1 terms of size up to 2*pi, plus one ulp of theta.
+            converged = np.abs(defect) <= 8.0 * np.finfo(float).eps * TWO_PI * (degree + 1 + slope)
+            lo = np.where(defect < 0.0, theta, lo)
+            hi = np.where(defect > 0.0, theta, hi)
+            step = theta - defect / slope
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            theta = np.where(active[:, None], step, theta)
+            # Converged rows freeze: the step just taken polishes them below the floor.
+            active &= ~converged.all(axis=1)
+            if not active.any():
+                break
 
-    _, slope = _lift_sums(zeros, theta)
-    rows = []
-    for row in range(len(theta)):
-        if active[row]:
-            rows.append(PhaseWindingMismatch(
-                f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
-                f"at degree {degree}"
-            ))
-            continue
-        weights = 1.0 / slope[row]
-        atoms = tuple(sorted(map(Atom.at_angle, theta[row], weights), key=lambda a: a.angle))
-        distinct = len({a.angle for a in atoms})
-        if distinct != degree:
-            atoms = PhaseWindingMismatch(f"found {distinct} distinct atoms, expected {degree}")
-        rows.append(atoms)
-    return rows
+        _, slope = _lift_sums(zeros, theta)
+        for row in range(len(theta)):
+            if active[row]:
+                raise PhaseWindingMismatch(
+                    f"Newton on the boundary phase did not converge in {NEWTON_MAX_ITER} steps "
+                    f"at degree {degree}"
+                )
+            weights = 1.0 / slope[row]
+            atoms = tuple(sorted(map(Atom.at_angle, theta[row], weights), key=lambda a: a.angle))
+            distinct = len({a.angle for a in atoms})
+            if distinct != degree:
+                raise PhaseWindingMismatch(f"found {distinct} distinct atoms, expected {degree}")
+            yield atoms
 
 
 def find_atoms(nodes: NodeSet, param: SchurParameter) -> tuple[Atom, ...]:
     """Locate and weigh the atoms of the measure of an inner parameter.
 
     s = B*omega is a unimodular constant times a Blaschke product of degree
-    d = n + deg(omega); this is the one-row case of solve_atoms.
+    d = n + deg(omega); this is the one row of solve_atoms for its gamma.
     """
     if not param.is_inner:
         raise NotInnerParameter("atom extraction requires an inner parameter")
-    (atoms,) = solve_atoms((param.gamma,), np.asarray(nodes.points + param.zeros, dtype=complex))
-    if isinstance(atoms, PhaseWindingMismatch):
-        raise atoms
-    return atoms
+    return next(solve_atoms((param.gamma,), np.asarray(nodes.points + param.zeros, dtype=complex)))
 
 
 def inner_measures(nodes: NodeSet, params, grid: CircleGrid, b0: complex | None = None):
     """Yield the checked, purely atomic measure of each of one or more inner ``params`` in order.
 
-    The parameters share the zeros of the first, so one phase scan serves them all,
-    and their rows are solved in blocks of at most _SWEEP_BLOCK_ELEMENTS atoms.  Each
-    row raises what build_measure raises for it: its PhaseWindingMismatch, or a
+    The parameters share the zeros of the first, so one solve_atoms call (one phase
+    scan) serves them all, and ``params`` is read one solve block at a time.  Each row
+    raises what build_measure raises for it: its PhaseWindingMismatch, or a
     MassConsistencyFailure against h(0) = herglotz_from_s(B(0) * omega(0)), where
     ``b0`` is B(0) of the nodes when the caller already has it.
     """
     params = iter(params)
     first = next(params)
     zeros = np.asarray(nodes.points + first.zeros, dtype=complex)
-    scan, rows = _phase_scan(zeros), max(1, _SWEEP_BLOCK_ELEMENTS // zeros.size)
     b0 = blaschke_eval(nodes, 0j) if b0 is None else b0
     density = np.zeros(grid.size)  # read-only once in a measure, so every row shares it
-    params = chain((first,), params)
-    while block := list(islice(params, rows)):
-        for param, atoms in zip(block, solve_atoms([p.gamma for p in block], zeros, scan)):
-            if isinstance(atoms, PhaseWindingMismatch):
-                raise atoms
-            row = GeneratedMeasure(nodes, param, grid, density, atoms, MeasureKind.PURELY_ATOMIC)
-            check_mass(row.mass, herglotz_from_s(b0 * param.values(0j)))
-            yield row
+    params, solved = tee(chain((first,), params))
+    for param, atoms in zip(params, solve_atoms((p.gamma for p in solved), zeros)):
+        row = GeneratedMeasure(nodes, param, grid, density, atoms, MeasureKind.PURELY_ATOMIC)
+        check_mass(row.mass, herglotz_from_s(b0 * param.values(0j)))
+        yield row
 
 
 def check_density(density: np.ndarray, flagged: int, low: int) -> None:

@@ -10,12 +10,18 @@ program, so they live here and not in the package.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
-import numpy as np
+# One BLAS thread, as in the benchmark: a second thread oversubscribes a loaded core.  Set
+# before numpy is first imported, which pytest has not done when it loads this file.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-import herglotz_measures as hm
-from herglotz_measures.errors import DuplicateNode
+import numpy as np  # noqa: E402
+
+import herglotz_measures as hm  # noqa: E402
+from herglotz_measures.errors import DuplicateNode  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,27 +283,28 @@ class TestBounds:
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_one_grid_and_one_atom_solve(self, tmp_path, monkeypatch, n):
-        # Both extremal measures come from one two-row solve on one grid.
-        grids, solves = [], []
-        post_init, solve_atoms = measure.CircleGrid.__post_init__, measure.solve_atoms
+        # Both extremal measures come from one two-row solve on one grid: one phase scan,
+        # and every Newton step of the solve takes both rows.
+        grids, scans, newton_rows = [], [], []
+        post_init, lift_sums = measure.CircleGrid.__post_init__, measure._lift_sums
 
         def counting_post_init(grid):
             grids.append(grid.size)
             post_init(grid)
 
-        def counting_solve(gammas, *args):
-            solves.append(len(gammas))
-            return solve_atoms(gammas, *args)
+        def counting_lift_sums(zeros, theta, slope=True):
+            (newton_rows if slope else scans).append(len(theta))
+            return lift_sums(zeros, theta, slope)
 
         monkeypatch.setattr(measure.CircleGrid, "__post_init__", counting_post_init)
-        monkeypatch.setattr(measure, "solve_atoms", counting_solve)
+        monkeypatch.setattr(measure, "_lift_sums", counting_lift_sums)
         rng = np.random.default_rng(n)
         z = 0.8 * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
         z[0] = 0.99 * np.exp(1j * rng.uniform(0.0, TWO_PI))
         config = self._bounds_config(tmp_path, [[p.real, p.imag] for p in z])
         assert main(["bounds", "--config", config]) == 0
         assert grids == [4096]
-        assert solves == [2]
+        assert len(scans) == 1 and newton_rows and set(newton_rows) == {2}
 
 
 class TestSweep:
@@ -339,6 +341,14 @@ class TestSweep:
 
     def test_degenerate_grid_single_row(self, tmp_path):
         config = self._sweep_config(tmp_path, [[0.5, 0]], 1, 8, grid_size=512)
+        assert main(["sweep", "--config", config]) == 0
+        rows = self._rows(tmp_path)
+        assert len(rows) == 1
+        assert rows[0][:3] == (0.0, 0.0, 1.0)
+
+    def test_one_radius_with_huge_angle_steps(self, tmp_path):
+        # One radius makes only the gamma = 0 row, so no other angle is built.
+        config = self._sweep_config(tmp_path, [[0.5, 0]], 1, 10**13, grid_size=512)
         assert main(["sweep", "--config", config]) == 0
         rows = self._rows(tmp_path)
         assert len(rows) == 1
@@ -640,6 +650,78 @@ def test_usage_error_exit_2(capsys, argv, error):
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("usage: herglotz-measures ")
     assert lines[-1].startswith(f"herglotz-measures: error: {error}")
+
+
+def _valid_config(command, tmp_path):
+    payload = {
+        "generate": {"nodes": [[0.5, 0]], "parameter": {"type": "constant", "gamma": [0, 0]}},
+        "verify": {"measure_path": str(tmp_path / "measure.doc")},
+        "bounds": {"nodes": [[0.5, 0]]},
+        "sweep": {"nodes": [[0.5, 0]], "sweep": {"radius_steps": 2, "angle_steps": 2}},
+    }[command]
+    return {"command": command, **payload, "output_path": str(tmp_path / "out")}
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+#: Subcommand, the edit of its valid config (a dict, or the file's text), and the text
+#: that the one error line must hold ({config} is the config's path).
+MALFORMED_CONFIGS = {
+    "json-list": ("generate", lambda p: [p], "config {config} is not a key/value mapping"),
+    "unparseable": ("bounds", lambda p: json.dumps(p)[:-1], "config {config} is not parseable"),
+    "no-command": ("generate", lambda p: _without(p, "command"), "missing fields ['command']"),
+    "other-command": (
+        "bounds",
+        lambda p: _valid_config("generate", Path(p["output_path"]).parent),
+        "config command 'generate' does not match subcommand 'bounds'",
+    ),
+    "generate-no-parameter": (
+        "generate",
+        lambda p: _without(p, "parameter"),
+        "generate config is missing fields ['parameter']",
+    ),
+    "verify-no-measure-path": (
+        "verify",
+        lambda p: _without(p, "measure_path"),
+        "verify config is missing fields ['measure_path']",
+    ),
+    "bounds-no-nodes": (
+        "bounds", lambda p: _without(p, "nodes"), "bounds config is missing fields ['nodes']"
+    ),
+    "sweep-no-sweep": (
+        "sweep", lambda p: _without(p, "sweep"), "sweep config is missing fields ['sweep']"
+    ),
+    "unknown-field": (
+        "sweep", lambda p: {**p, "comment": "x"}, "sweep config has unknown fields ['comment']"
+    ),
+    "sweep-spec-no-angle-steps": (
+        "sweep",
+        lambda p: {**p, "sweep": {"radius_steps": 2}},
+        "sweep spec is missing fields ['angle_steps']",
+    ),
+    "sweep-spec-unknown-field": (
+        "sweep",
+        lambda p: {**p, "sweep": {**p["sweep"], "steps": 4}},
+        "sweep spec has unknown fields ['steps']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, case):
+    command, edit, expected = MALFORMED_CONFIGS[case]
+    edited = edit(_valid_config(command, tmp_path))
+    if not isinstance(edited, str):
+        edited = json.dumps(edited)
+    path = tmp_path / "job.json"
+    path.write_text(edited, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected.format(config=path) in err
+    assert not (tmp_path / "out").exists()
 
 
 #: MAX_NODES + 1 distinct nodes inside the disc.

@@ -166,7 +166,7 @@ class TestFindAtoms:
         rng = np.random.default_rng(32)
         for _ in range(20):
             nodes, gammas = self._ring(rng, int(rng.integers(1, 13)), 0.95, int(rng.integers(1, 9)))
-            rows = measure.solve_atoms(gammas, nodes.as_array())
+            rows = list(measure.solve_atoms(gammas, nodes.as_array()))
             assert len(rows) == len(gammas)
             for gamma, atoms in zip(gammas, rows):
                 lone = hm.find_atoms(nodes, hm.Constant(gamma))
@@ -181,15 +181,41 @@ class TestFindAtoms:
         # Three Newton steps are too few for some rows of this ring and enough for others.
         monkeypatch.setattr(measure, "NEWTON_MAX_ITER", 3)
         nodes, gammas = self._ring(np.random.default_rng(33), 2, 0.99, 16)
-        rows = measure.solve_atoms(gammas, nodes.as_array())
-        failed = [isinstance(row, hm.PhaseWindingMismatch) for row in rows]
-        assert any(failed) and not all(failed)
-        for gamma, row in zip(gammas, rows):
-            if isinstance(row, hm.PhaseWindingMismatch):
-                with pytest.raises(hm.PhaseWindingMismatch, match=str(row)):
-                    hm.find_atoms(nodes, hm.Constant(gamma))
-            else:
-                assert row == hm.find_atoms(nodes, hm.Constant(gamma))
+        start, failed = 0, []
+        while start < len(gammas):
+            # A failed row ends its solve, so the rows after it go to a new one.
+            solved, error = [], None
+            try:
+                for atoms in measure.solve_atoms(gammas[start:], nodes.as_array()):
+                    solved.append(atoms)
+            except hm.PhaseWindingMismatch as exc:
+                error = exc
+            for gamma, atoms in zip(gammas[start:], solved):
+                assert atoms == hm.find_atoms(nodes, hm.Constant(gamma))
+            start += len(solved)
+            if error is not None:
+                with pytest.raises(hm.PhaseWindingMismatch, match=str(error)):
+                    hm.find_atoms(nodes, hm.Constant(gammas[start]))
+                failed.append(start)
+                start += 1
+        assert 0 < len(failed) < len(gammas)
+
+    def test_ring_over_three_blocks_makes_one_phase_scan(self, monkeypatch):
+        # Blocks of 3 rows of d = 4 atoms: the ring of 8 takes blocks of 3, 3 and 2 rows.
+        monkeypatch.setattr(measure, "_SWEEP_BLOCK_ELEMENTS", 3 * 4)
+        scans, newton_rows, lift_sums = [], [], measure._lift_sums
+
+        def counting_lift_sums(zeros, theta, slope=True):
+            (newton_rows if slope else scans).append(len(theta))
+            return lift_sums(zeros, theta, slope)
+
+        monkeypatch.setattr(measure, "_lift_sums", counting_lift_sums)
+        nodes, gammas = self._ring(np.random.default_rng(34), 4, 0.9, 8)
+        params = [hm.Constant(gamma) for gamma in gammas]
+        rows = list(measure.inner_measures(nodes, params, CircleGrid(256)))
+        assert [row.param for row in rows] == params
+        assert scans == [measure._ATOM_SCAN_SIZE + 1]
+        assert set(newton_rows) == {3, 2}
 
 
 @pytest.mark.parametrize("d", [32, 128])
@@ -237,19 +263,21 @@ class TestClarkOracle:
     def test_ring_split_over_blocks(self, d, monkeypatch):
         # Three rows of d atoms per block: the ring of 8 takes blocks of 3, 3 and 2 rows.
         monkeypatch.setattr(measure, "_SWEEP_BLOCK_ELEMENTS", 3 * d)
-        solves = []
-        solve_atoms = measure.solve_atoms
-
-        def counting_solve(gammas, *args):
-            solves.append(len(gammas))
-            return solve_atoms(gammas, *args)
-
-        monkeypatch.setattr(measure, "solve_atoms", counting_solve)
-        nodes = self._nodes(d)
         params = [hm.Constant(complex(np.exp(2j * math.pi * k / 8))) for k in range(8)]
-        rows = list(measure.inner_measures(nodes, params, CircleGrid(4096)))
-        assert solves == [3, 3, 2]
-        for param, row in zip(params, rows):
+        read = []
+
+        def ring():
+            for param in params:
+                read.append(param)
+                yield param
+
+        nodes, rows = self._nodes(d), []
+        for row in measure.inner_measures(nodes, ring(), CircleGrid(4096)):
+            rows.append((row, len(read)))
+        # Each block's parameters are read when its first row is solved, and no sooner.
+        assert [count for _, count in rows] == [3, 3, 3, 6, 6, 6, 8, 8]
+        for param, (row, _) in zip(params, rows):
+            assert row.param is param
             self._assert_oracle_angles(param.gamma, row.atoms, nodes)
 
 
