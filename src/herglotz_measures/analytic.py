@@ -52,6 +52,17 @@ MAX_NODES = 1024
 _DISC_SLACK = 1e-12
 
 
+def _check_in_disc(points, what: str, error: type) -> None:
+    """Raise ``error`` unless every point is 0 or of normal modulus in the open unit disc."""
+    # Below the smallest normal modulus, |a|/a in the Blaschke factor overflows.
+    tiny = np.finfo(float).tiny
+    for k, p in enumerate(points):
+        if not abs(p) < 1.0:
+            raise error(f"{what} {k} = {p} is not inside the open unit disc")
+        if 0.0 < abs(p) < tiny:
+            raise error(f"{what} {k} = {p} has a subnormal modulus; use 0 for the origin")
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Pairwise-distinct interpolation nodes in the open unit disc."""
@@ -64,9 +75,7 @@ class NodeSet:
             raise EmptyNodeList("at least one interpolation node is required")
         if len(points) > MAX_NODES:
             raise TooManyNodes(f"{len(points)} interpolation nodes, above the limit of {MAX_NODES}")
-        for k, p in enumerate(points):
-            if not abs(p) < 1.0:
-                raise NodeOutsideDisc(f"node {k} = {p} is not inside the open unit disc")
+        _check_in_disc(points, "node", NodeOutsideDisc)
         if len(set(points)) != len(points):
             raise DuplicateNode("interpolation nodes must be pairwise distinct")
         object.__setattr__(self, "points", points)
@@ -120,11 +129,7 @@ class ScaledBlaschke(SchurParameter):
     def __post_init__(self):
         gamma, inner = _snap_multiplier(complex(self.gamma))
         zeros = tuple(complex(a) for a in self.zeros)
-        for k, a in enumerate(zeros):
-            if not abs(a) < 1.0:
-                raise ParameterNotCertified(
-                    f"Blaschke zero {k} = {a} is not inside the open unit disc"
-                )
+        _check_in_disc(zeros, "Blaschke zero", ParameterNotCertified)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "_inner", inner)

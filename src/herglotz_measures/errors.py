@@ -6,7 +6,7 @@ class HerglotzMeasureError(Exception):
 
 
 class NodeOutsideDisc(HerglotzMeasureError):
-    """An interpolation node lies on or outside the unit circle."""
+    """An interpolation node lies on or outside the unit circle, or has a subnormal modulus."""
 
 
 class DuplicateNode(HerglotzMeasureError):

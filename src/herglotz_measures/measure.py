@@ -1,13 +1,13 @@
 """Recovery of the representing measure of h = Re (1+B*omega)/(1-B*omega).
 
-Strictly contractive parameters give an absolutely continuous measure,
-sampled on a uniform circle grid against normalized Lebesgue measure
-(density 1 means the Lebesgue measure itself).  Inner parameters give a
-purely atomic measure whose atoms sit where B*omega = 1 on the circle.
-On the circle arg(B*omega) has a closed-form, strictly increasing lift Phi
-(total increase 2*pi*degree) whose slope is the Poisson sum of the zeros;
-the atoms are the solutions of Phi = 2*pi*m and their residue weights
-mu = 1/(t0 * s'(t0)) equal 1/Phi'(theta0).
+Strictly contractive parameters give an absolutely continuous measure, sampled on a
+uniform circle grid against normalized Lebesgue measure (density 1 is the Lebesgue
+measure itself); contractive_rows builds and checks every such density, R rows at
+once, for generate and the sweep alike.  Inner parameters give a purely atomic measure
+whose atoms sit where B*omega = 1 on the circle, all from inner_measures.  There
+arg(B*omega) has a closed-form, strictly increasing lift Phi (total increase
+2*pi*degree) whose slope is the Poisson sum of the zeros; the atoms are the solutions
+of Phi = 2*pi*m and their residue weights mu = 1/(t0 * s'(t0)) equal 1/Phi'(theta0).
 """
 
 from __future__ import annotations
@@ -163,14 +163,12 @@ class GeneratedMeasure:
 def boundary_density(
     nodes: NodeSet, param: SchurParameter, grid: CircleGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Densities h(t_j) = (1-|s|^2)/|1-s|^2 plus a mask of near-singular points.
+    """One row's samples h(t_j) as contractive_rows forms them, unchecked, and its flag mask.
 
-    Flagged entries (|1 - s| below the Cayley singularity threshold) are set
-    to zero so that quadrature automatically excludes them.
+    Flagged entries (|1 - s| below the Cayley singularity threshold) are set to zero so
+    that quadrature excludes them.
     """
     blaschke = blaschke_values(grid.points, nodes.points)
-    # s = B * omega with B first: on an owned temporary of 256 KiB or more the operator
-    # would work in place as omega * B, which differs in the last bits.
     return herglotz_samples(np.multiply(blaschke, param.values(grid.points)))
 
 
@@ -293,18 +291,33 @@ def inner_measures(nodes: NodeSet, params, grid: CircleGrid, b0: complex | None 
         yield row
 
 
-def check_density(density: np.ndarray, flagged: int, low: int) -> None:
-    """Raise unless a non-inner parameter's density has no ``flagged`` samples (see
-    herglotz_samples) and its least sample, at index ``low``, is not negative."""
-    if flagged:
-        raise UnsupportedMixedCase(
-            f"{flagged} boundary points of a non-inner parameter "
-            "came within the singularity threshold of s = 1"
-        )
-    if density[low] < -DENSITY_TOL:
-        raise ParameterNotCertified(
-            f"density sample {low} = {density[low]} < 0: |omega| > 1 there, not Schur-class"
-        )
+def contractive_rows(blaschke: np.ndarray, omegas: np.ndarray, s0s, out=None):
+    """Checked densities and masses of R strictly contractive rows s = B * omega at once.
+
+    ``omegas`` is omega on the grid per row, (R, N) or an (R, 1) column of constants,
+    ``s0s`` the R values s(0), and ``out`` an optional (R, N) buffer for s.  Samples,
+    means, flag counts and least samples are one array pass each; then, row by row,
+    flagged samples raise UnsupportedMixedCase, a negative or non-finite least sample
+    ParameterNotCertified, and a mass off herglotz_from_s(s(0)) MassConsistencyFailure.
+    Returns the (R, N) densities and the R masses as floats.
+    """
+    # s = B * omega with B first: on an owned temporary of 256 KiB or more the operator
+    # would work in place as omega * B, which differs in the last bits.
+    density, flagged = herglotz_samples(np.multiply(blaschke[None, :], omegas, out=out))
+    masses = density.mean(axis=1).tolist()
+    counts, lows = flagged.sum(axis=1).tolist(), density.argmin(axis=1).tolist()
+    for row, (count, low, s0) in enumerate(zip(counts, lows, s0s)):
+        if count:
+            raise UnsupportedMixedCase(
+                f"{count} boundary points of a non-inner parameter "
+                "came within the singularity threshold of s = 1"
+            )
+        least = density[row, low]
+        if not least >= -DENSITY_TOL:
+            problem = "< 0: |omega| > 1 there, not Schur-class" if least < 0 else "is not finite"
+            raise ParameterNotCertified(f"density sample {low} = {least} {problem}")
+        check_mass(masses[row], herglotz_from_s(s0))
+    return density, masses
 
 
 def build_measure(
@@ -313,17 +326,16 @@ def build_measure(
     """Recover the representing measure of the parameter: atoms or density.
 
     The result is cross-checked: its quadrature mass must match the Herglotz value at
-    the origin (MassConsistencyFailure otherwise), and a density must pass check_density.
+    the origin (MassConsistencyFailure otherwise), and a density passes contractive_rows.
     """
     check_grid_size(grid_size)
     grid = CircleGrid(grid_size)
     if param.is_inner:
         return next(inner_measures(nodes, (param,), grid))
-    density, flagged = boundary_density(nodes, param, grid)
-    check_density(density, int(flagged.sum()), int(np.argmin(density)))
-    measure = GeneratedMeasure(nodes, param, grid, density, (), MeasureKind.ABSOLUTELY_CONTINUOUS)
-    total_mass(measure)
-    return measure
+    blaschke = blaschke_values(grid.points, nodes.points)
+    s0 = blaschke_eval(nodes, 0j) * param.values(0j)
+    density, _ = contractive_rows(blaschke, param.values(grid.points)[None, :], (s0,))
+    return GeneratedMeasure(nodes, param, grid, density[0], (), MeasureKind.ABSOLUTELY_CONTINUOUS)
 
 
 def total_mass(measure: GeneratedMeasure) -> float:
@@ -335,7 +347,7 @@ def total_mass(measure: GeneratedMeasure) -> float:
 
 def check_mass(mass: float, expected: float) -> None:
     """Raise MassConsistencyFailure unless the quadrature mass matches h(0) = expected."""
-    if abs(mass - expected) > MASS_CONSISTENCY_TOL:
+    if not abs(mass - expected) <= MASS_CONSISTENCY_TOL:
         raise MassConsistencyFailure(
             f"quadrature mass {mass} vs h(0) = {expected} "
             f"(difference {abs(mass - expected):.3e})"

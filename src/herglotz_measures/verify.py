@@ -18,18 +18,17 @@ holds at most one block of the n x N Cauchy matrix, _PHI_BLOCK_ELEMENTS
 entries (2 MiB), so its memory is bounded for any n and N.  A sweep whose
 whole matrix fits in _SWEEP_REUSE_ELEMENTS (8 MiB) builds it once; every row
 then takes phi as one product with it when one block covers it, or else sums
-the same blocks as slices of it.  Its contractive rows go in row blocks:
-s = B * gamma (B first, as in generate), the density, its mean and least
-sample, the weights and the Gram errors are one array pass per block, while
-phi and h(0) (a numpy scalar expression) stay per row, so each row equals what
-generate computes, bit for bit; its |gamma| = 1 rows come from measure.inner_measures.
+the same blocks as slices of it.  Its rows get their densities and checks from
+measure (contractive_rows in row blocks, inner_measures for |gamma| = 1), as
+generate does; the weights and Gram errors are one array pass per block, while
+phi stays per row, so each row equals what generate computes, bit for bit.
 The direct route, one quadrature of 1/((t - z') conj(t - z'')) per pair,
 lives only in the tests, as their Gram oracle.
 
 Both certificates judge the sampled measure they are given.  The boundary
 sup of a rational parameter is a maximum over 8192 samples, a sampled check
 and not a bound; a negative density sample proves |omega| > 1 there, so
-``check_density`` refuses it and ``generate`` never certifies a signed measure.
+``contractive_rows`` refuses it and ``generate`` never certifies a signed measure.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from .analytic import (
     SpecialSystemResult,
     blaschke_eval,
     blaschke_values,
-    herglotz_from_s,
-    herglotz_samples,
     mass_bound_base,
     solve_special_system,
 )
@@ -56,9 +53,8 @@ from .measure import (
     DEFAULT_GRID_SIZE,
     CircleGrid,
     GeneratedMeasure,
-    check_density,
     check_grid_size,
-    check_mass,
+    contractive_rows,
     inner_measures,
 )
 
@@ -235,8 +231,8 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     build_measure raises for the first failing gamma.  The node-only work runs once
     per call (B on the grid and at 0, the Gram target, the grid's Cauchy matrix).
     Each run of consecutive |gamma| = 1 rows goes through inner_measures, and runs of
-    contractive rows go in row blocks of _SWEEP_BLOCK_ELEMENTS entries (see
-    _sweep_block), whose rows are yielded once all of them have passed their checks.
+    contractive rows go through contractive_rows in blocks of _SWEEP_BLOCK_ELEMENTS
+    entries, whose rows are yielded once all of them have passed its checks.
     """
     check_grid_size(grid_size)
     grid = CircleGrid(grid_size)
@@ -255,37 +251,21 @@ def sweep_reports(nodes: NodeSet, gammas, grid_size: int, tolerance: float):
     # Parameters are made as the rows are reached: a list of them all left the small-object
     # heap fragmented and raised peak RSS.
     for inner, run in groupby(map(Constant, gammas), key=lambda p: p.is_inner):
-        if not inner:
-            while block := [p.gamma for p in islice(run, rows)]:
-                yield from _sweep_block(
-                    z, block, b0, blaschke, grid, target, cauchy, tolerance, work
-                )
+        if inner:
+            for measure in inner_measures(nodes, run, grid, b0):
+                yield measure.mass, _certificates(_node_phi(measure)[None, :], target, tolerance)[0]
             continue
-        for measure in inner_measures(nodes, run, grid, b0):
-            yield measure.mass, _certificates(_node_phi(measure)[None, :], target, tolerance)[0]
-
-
-def _sweep_block(z, gammas, b0, blaschke, grid, target, cauchy, tolerance, work):
-    """(mass, Certificate) rows of consecutive contractive ``gammas``, bit for bit as generate's.
-
-    The rows are checked in order, so the first failing gamma raises as build_measure
-    would.  The weights density / N of the whole block are one division into ``work``,
-    once s is spent, and each row's phi is _phi on its row of them (one product with the
-    grid's Cauchy matrix when one block of the phi pass covers the grid, as in every
-    sweep with n * N <= _PHI_BLOCK_ELEMENTS).
-    phi stays one matrix-vector product per row and h(0) one scalar: a matrix product's
-    rows, and the array path of herglotz_from_s, differ in rare last bits.
-    """
-    s = np.multiply(blaschke[None, :], np.asarray(gammas)[:, None], out=work[: len(gammas)])
-    density, flagged = herglotz_samples(s)
-    masses = density.mean(axis=1).tolist()
-    counts, lows = flagged.sum(axis=1).tolist(), density.argmin(axis=1).tolist()
-    # Complex weights in s's buffer, with zero imaginary parts: the values that a product
-    # with float weights would cast them to.
-    weights = np.divide(density, grid.size, out=s)
-    phi = np.empty((len(gammas), z.size), dtype=complex)
-    for k, gamma in enumerate(gammas):
-        check_density(density[k], counts[k], lows[k])
-        check_mass(masses[k], herglotz_from_s(b0 * gamma))
-        phi[k] = _phi(z, masses[k], grid.points, weights[k], grid_cauchy=cauchy)
-    return zip(masses, _certificates(phi, target, tolerance))
+        while block := [p.gamma for p in islice(run, rows)]:
+            s = work[: len(block)]
+            density, masses = contractive_rows(
+                blaschke, np.asarray(block)[:, None], [b0 * gamma for gamma in block], s
+            )
+            # Complex weights in s's buffer, with zero imaginary parts: the values that a
+            # product with float weights would cast them to.
+            weights = np.divide(density, grid.size, out=s)
+            # One matrix-vector product per row, as generate's: a matrix product's rows
+            # differ from it in rare last bits.
+            phi = np.array(
+                [_phi(z, m, grid.points, w, grid_cauchy=cauchy) for m, w in zip(masses, weights)]
+            )
+            yield from zip(masses, _certificates(phi, target, tolerance))

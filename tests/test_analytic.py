@@ -39,6 +39,23 @@ class TestValidateNodes:
         nodes = hm.validate_nodes([0.5, 0.3j, -0.1])
         assert nodes.points == (0.5 + 0j, 0.3j, -0.1 + 0j)
 
+    def test_subnormal_modulus_rejected(self):
+        # |a|/a in the Blaschke factor overflows below the smallest normal modulus.
+        for point in (1e-320, 1e-320j, complex(1e-320, -1e-320), 1e-308):
+            with pytest.raises(hm.NodeOutsideDisc, match="subnormal modulus; use 0"):
+                hm.validate_nodes([0.5, point])
+        with pytest.raises(hm.ParameterNotCertified, match="Blaschke zero 1 = .* subnormal"):
+            hm.ScaledBlaschke(0.5, (0.3, 1e-320))
+
+    def test_tiny_normal_and_zero_points_give_a_finite_blaschke_product(self):
+        grid = np.exp(1j * TWO_PI * np.arange(64) / 64)
+        for point in (0.0, 1e-300, np.finfo(float).tiny):
+            nodes = hm.validate_nodes([point, 0.5j])
+            param = hm.ScaledBlaschke(0.5, (point,))
+            assert np.all(np.isfinite(analytic.blaschke_values(grid, nodes.points)))
+            assert np.all(np.isfinite(param.values(grid)))
+            assert np.isfinite(hm.herglotz_eval(nodes, param, 0j))
+
 
 class TestBlaschkeEval:
     def test_zero_node_gives_factor_t(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,119 @@ def test_malformed_config_exit_2_writes_nothing(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected.format(config=path) in err
     assert not (tmp_path / "out").exists()
+
+
+def _config_argv(tmp_path, command, **fields):
+    """Argv of ``command`` on its valid config with ``fields`` set; the output is ``out``."""
+    payload = {**_valid_config(command, tmp_path), **fields}
+    return [command, "--config", write_config(tmp_path / "job.json", payload)]
+
+
+#: Inputs refused at load time, the output each would write, and its one error line.
+REJECTED_INPUTS = {
+    "sweep-spec-list": (
+        lambda p: _config_argv(p, "sweep", sweep=[2, 2]), "out", "sweep spec must be a mapping"
+    ),
+    "measure-path-number": (
+        lambda p: _config_argv(p, "verify", measure_path=5),
+        "out",
+        "verify needs a measure_path string",
+    ),
+    "measure-path-empty": (
+        lambda p: _config_argv(p, "verify", measure_path=""),
+        "out",
+        "verify needs a measure_path string",
+    ),
+    "parameter-list": (
+        lambda p: _config_argv(p, "generate", parameter=[1, 2]),
+        "out",
+        "parameter descriptor must be a mapping, got [1, 2]",
+    ),
+    "zeros-mapping": (
+        lambda p: _config_argv(
+            p, "generate", parameter={"type": "scaled-blaschke", "gamma": [0.5, 0], "zeros": {}}
+        ),
+        "out",
+        "zeros must be a list of [re, im] pairs",
+    ),
+    "numerator-empty": (
+        lambda p: _rational_argv(p, [], [[1, 0]]),
+        "measure.doc",
+        "numerator must be a non-empty list of [re, im] pairs",
+    ),
+    "nodes-empty": (
+        lambda p: _config_argv(p, "bounds", nodes=[]),
+        "out",
+        "nodes must be a non-empty list of [re, im] pairs",
+    ),
+    "denominator-zero": (
+        lambda p: _rational_argv(p, [[0.1, 0]], [[0, 0], [0, 0]]),
+        "measure.doc",
+        "denominator is identically zero",
+    ),
+    "atoms-mapping": (
+        lambda p: _edited_measure_argv(p, {("atoms",): {}}),
+        "report.doc",
+        "atoms must be a list of [angle, weight] pairs",
+    ),
+    "atom-single": (
+        lambda p: _edited_measure_argv(p, {("atoms", 0): [1.0]}),
+        "report.doc",
+        "atom 0 must be an [angle, weight] pair",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_INPUTS))
+def test_rejected_input_exit_2_with_one_error_line(tmp_path, capsys, case):
+    make_argv, output, message = REJECTED_INPUTS[case]
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / output).exists()
+
+
+_SUBNORMAL = [1e-320, 0]
+
+#: Inputs with a point of subnormal modulus, which made B non-finite, and the output each
+#: would write.
+SUBNORMAL_INPUTS = {
+    "generate-node": (lambda p: _generate_argv(p, nodes=[_SUBNORMAL]), "measure.doc"),
+    "generate-blaschke-zero": (
+        lambda p: _generate_argv(
+            p, parameter={"type": "scaled-blaschke", "gamma": [0.5, 0], "zeros": [_SUBNORMAL]}
+        ),
+        "measure.doc",
+    ),
+    "sweep-node": (lambda p: _config_argv(p, "sweep", nodes=[_SUBNORMAL]), "out"),
+    "bounds-node": (lambda p: _config_argv(p, "bounds", nodes=[_SUBNORMAL]), "out"),
+}
+
+
+@pytest.mark.parametrize("case", list(SUBNORMAL_INPUTS))
+def test_subnormal_point_exit_2_without_warnings(tmp_path, capsys, case):
+    make_argv, output = SUBNORMAL_INPUTS[case]
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "0 = (1e-320+0j) has a subnormal modulus; use 0 for the origin" in err
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "bounds", "sweep"])
+def test_tiny_normal_node_passes(tmp_path, command):
+    argv = _config_argv(tmp_path, command, nodes=[[1e-300, 0], [0.5, 0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert (tmp_path / "out").exists()
 
 
 #: MAX_NODES + 1 distinct nodes inside the disc.

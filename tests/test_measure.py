@@ -319,6 +319,89 @@ class TestBuildMeasure:
             hm.build_measure(nodes, hm.Constant(1.0 - 1e-10), 256)
 
 
+class _NanParameter(hm.SchurParameter):
+    """Test double: a contractive-looking parameter whose every value is NaN."""
+
+    is_inner = False
+
+    def values(self, z):
+        return np.full(np.shape(z), np.nan, dtype=complex) if np.ndim(z) else complex(np.nan)
+
+
+class TestContractiveRows:
+    """measure.contractive_rows, the one checked path of every contractive density."""
+
+    @staticmethod
+    def _rows(form, grid):
+        """Three parameters of one form and their omega on ``grid``: rows, or a constant column."""
+        if form == "constant":
+            params = [hm.Constant(g) for g in (0.5, -0.3 + 0.4j, 0.7j)]
+            return params, np.array([p.gamma for p in params])[:, None]
+        if form == "scaled-blaschke":
+            pairs = ((0.5, (0.2j,)), (-0.6j, (0.3, -0.4)), (0.8, ()))
+            params = [hm.ScaledBlaschke(g, z) for g, z in pairs]
+        else:
+            params = [hm.CertifiedRational((c, 0.1), (1.0, -0.3)) for c in (0.2, -0.4j, 0.5)]
+        return params, np.array([p.values(grid.points) for p in params])
+
+    @pytest.mark.parametrize("form", ["constant", "scaled-blaschke", "rational"])
+    def test_three_rows_equal_three_one_row_calls_and_build_measure(self, form):
+        nodes = hm.validate_nodes([0.5, -0.2 + 0.3j])
+        grid = CircleGrid(4096)
+        blaschke = hm.blaschke_eval(nodes, grid.points)
+        params, omegas = self._rows(form, grid)
+        s0s = [hm.blaschke_eval(nodes, 0j) * p.values(0j) for p in params]
+        density, masses = measure.contractive_rows(blaschke, omegas, s0s)
+        assert density.shape == (3, 4096) and len(masses) == 3
+        for row, param in enumerate(params):
+            one, (mass,) = measure.contractive_rows(blaschke, omegas[row : row + 1], [s0s[row]])
+            assert np.array_equal(density[row], one[0])
+            assert repr(masses[row]) == repr(mass)
+            assert np.array_equal(hm.boundary_density(nodes, param, grid)[0], one[0])
+            built = hm.build_measure(nodes, param, 4096)
+            assert np.array_equal(built.density, one[0])
+            assert repr(built.mass) == repr(mass)
+
+    def test_rows_are_checked_in_order(self):
+        # Row 0 passes (s = 0.5, h = 3), row 1 is negative at sample 7, row 2 is flagged
+        # everywhere: row 1 raises first, and row 2 once row 1 is gone.
+        blaschke = np.ones(8, dtype=complex)
+        omegas = np.array([[0.5] * 8, [0.5] * 7 + [1.5], [1.0] * 8])
+        s0s = [0.5, 0.5, 0.5]
+        with pytest.raises(hm.ParameterNotCertified) as exc:
+            measure.contractive_rows(blaschke, omegas, s0s)
+        assert str(exc.value) == "density sample 7 = -5.0 < 0: |omega| > 1 there, not Schur-class"
+        with pytest.raises(hm.UnsupportedMixedCase, match="^8 boundary points"):
+            measure.contractive_rows(blaschke, omegas[[0, 2]], s0s[:2])
+        with pytest.raises(hm.MassConsistencyFailure, match=r"^quadrature mass 3.0 vs h\(0\) = 1"):
+            measure.contractive_rows(blaschke, omegas[:1], [0.0])
+        density, masses = measure.contractive_rows(blaschke, omegas[:1], s0s[:1])
+        assert np.array_equal(density, np.full((1, 8), 3.0)) and masses == [3.0]
+
+    def test_nan_sample_is_not_finite(self):
+        omegas = np.array([[0.5, np.nan, 0.5, 0.5]], dtype=complex)
+        with pytest.raises(hm.ParameterNotCertified) as exc:
+            measure.contractive_rows(np.ones(4, dtype=complex), omegas, [0.5])
+        assert str(exc.value) == "density sample 1 = nan is not finite"
+
+    def test_nan_parameter_is_refused_by_build_measure(self):
+        with pytest.raises(hm.ParameterNotCertified, match="is not finite"):
+            hm.build_measure(hm.validate_nodes([0.5]), _NanParameter(), 256)
+
+    def test_nan_mass_is_refused(self):
+        with pytest.raises(hm.MassConsistencyFailure, match="quadrature mass nan"):
+            measure.check_mass(float("nan"), 1.0)
+        with pytest.raises(hm.MassConsistencyFailure, match="h\\(0\\) = nan"):
+            measure.check_mass(1.0, float("nan"))
+
+    def test_wrong_sample_count_is_refused(self):
+        with pytest.raises(ValueError, match="^density has 128 samples, grid has 256$"):
+            hm.GeneratedMeasure(
+                hm.validate_nodes([0.5]), None, CircleGrid(256), np.ones(128), (),
+                MeasureKind.ABSOLUTELY_CONTINUOUS,
+            )
+
+
 class TestIntegrateAgainst:
     def test_total_mass_of_lebesgue(self):
         measure = hm.build_measure(hm.validate_nodes([0.1]), hm.Constant(0.0), 512)
